@@ -275,9 +275,3 @@ def evolve_packet(
             "grid propagator (sgsim.oracle) for in-region times"
         )
     return SpinorField(packet=packet, apparatus=apparatus, timing=timing, units=units, t=t)
-
-
-def probability_density(field: SpinorField, x) -> float:
-    """Probability density at a point x = (x, y, z)."""
-    px, py, pz = x
-    return float(field.probability_density(px, py, pz))

@@ -35,20 +35,6 @@ class ClassicalState:
 
 
 @dataclass(frozen=True)
-class SpinOrientation:
-    """Spin direction given by azimuthal angle alpha and polar angle beta."""
-
-    alpha: float
-    beta: float
-
-    def __post_init__(self) -> None:
-        if not (0.0 <= self.alpha < 2.0 * math.pi):
-            raise InvalidParameterError(f"alpha out of [0, 2*pi): {self.alpha}")
-        if not (0.0 <= self.beta <= math.pi):
-            raise InvalidParameterError(f"beta out of [0, pi]: {self.beta}")
-
-
-@dataclass(frozen=True)
 class Histogram:
     """Binned counts with strictly increasing edges; counts sum to n_total."""
 

@@ -14,10 +14,13 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 import tempfile
 from dataclasses import dataclass, replace
+from operator import attrgetter
+from typing import Callable
 
 import numpy as np
 
@@ -27,18 +30,11 @@ from .core import (
     Branch,
     GaussianPacket,
     UnitSystem,
+    _require_finite,
     derive_timing,
     detection_time,
 )
-from .errors import (
-    ConfigError,
-    DomainError,
-    ExtentError,
-    GeometryError,
-    InvalidParameterError,
-    NoSplitError,
-    SgSimError,
-)
+from .errors import ConfigError, DomainError, InvalidParameterError, SgSimError
 
 EXPERIMENTS = (
     "classical",
@@ -58,7 +54,11 @@ EXIT_NUMERIC = 4
 
 
 def _g(x: float) -> str:
-    return f"{float(x):.17g}"
+    """17 significant digits; NaN and Inf are refused so no artifact holds them."""
+    x = float(x)
+    if not math.isfinite(x):
+        raise DomainError(f"refusing to write non-finite value {x!r}")
+    return f"{x:.17g}"
 
 
 @dataclass(frozen=True)
@@ -90,6 +90,17 @@ class RunConfig:
             raise InvalidParameterError(f"n must be >= 1, got {self.n}")
         if self.bins < 2:
             raise InvalidParameterError(f"bins must be >= 2, got {self.bins}")
+        if self.seed < 0:
+            raise InvalidParameterError(f"seed must be >= 0, got {self.seed}")
+        if self.n_field_steps < 1:
+            raise InvalidParameterError(
+                f"n_field_steps must be >= 1, got {self.n_field_steps}"
+            )
+        if self.t is not None:
+            _require_finite("t", self.t)
+        _require_finite("phase_error", self.phase_error)
+        _require_finite("stage_gap", self.stage_gap)
+        _require_finite("layers", *(v for layer in self.layers for v in layer))
 
     def default_time(self) -> float:
         timing = derive_timing(self.apparatus, self.packet, self.units)
@@ -138,7 +149,7 @@ def _parse_layers(text: str) -> tuple[tuple[float, float, float], ...]:
     for item in text.split(";"):
         parts = item.split(":")
         if len(parts) != 3:
-            raise ConfigError(f"layer must be 'y0:y1:grad', got {item!r}")
+            raise ValueError(f"layer must be 'y0:y1:grad', got {item!r}")
         layers.append(tuple(float(p) for p in parts))
     return tuple(layers)
 
@@ -147,14 +158,69 @@ def _layers_text(layers) -> str:
     return ";".join(f"{_g(a)}:{_g(b)}:{_g(g)}" for a, b, g in layers)
 
 
-_FLOAT_KEYS = {
-    "units.hbar", "units.mass", "units.mu_b",
-    "apparatus.y_a", "apparatus.y_b", "apparatus.y_c", "apparatus.y_d",
-    "apparatus.grad_Bz",
-    "packet.sigma", "packet.k_y", "packet.t_prime",
-    "run.t", "recombine.phase_error", "recombine.gap",
-}
-_INT_KEYS = {"run.n", "run.seed", "run.bins", "grid.n_points", "oracle.n_field_steps"}
+def _parse_bool(text: str) -> bool:
+    if text not in ("true", "false"):
+        raise ValueError(f"must be 'true' or 'false', got {text!r}")
+    return text == "true"
+
+
+# (parse, format) pairs; parsers raise ValueError on malformed text
+_TEXT = (str, str)
+_INT = (int, str)
+_FLOAT = (float, _g)
+_COMPLEX = (lambda s: complex(s.replace(" ", "")), lambda c: f"{c.real:.17g}{c.imag:+.17g}j")
+_BOOL = (_parse_bool, lambda b: "true" if b else "false")
+_LAYERS = (_parse_layers, _layers_text)
+
+
+@dataclass(frozen=True)
+class _Key:
+    """One config key: the ``RunConfig`` field it sets (dotted for a nested
+    object), its text parser and formatter, and the CLI flag that sets it.
+
+    ``flag`` is ``"--name METAVAR"``, or a bare ``"--name"`` for a switch
+    that sets the key to ``true``; ``commands`` are the subcommands that
+    take it.
+    """
+
+    key: str
+    field: str
+    parse: Callable[[str], object]
+    fmt: Callable[[object], str]
+    flag: str | None = None
+    commands: tuple[str, ...] = EXPERIMENTS
+    help: str | None = None
+
+
+def _floats(section: str, *names: str) -> tuple[_Key, ...]:
+    return tuple(_Key(f"{section}.{n}", f"{section}.{n}", *_FLOAT) for n in names)
+
+
+# Every config key, in the order config_to_text writes them.
+_KEYS = (
+    _Key("run.experiment", "experiment", *_TEXT),
+    _Key("run.n", "n", *_INT, "--n N"),
+    _Key("run.seed", "seed", *_INT, "--seed N"),
+    _Key("run.bins", "bins", *_INT, "--bins N"),
+    _Key("run.out", "out", *_TEXT, "--out DIR"),
+    *_floats("units", "hbar", "mass", "mu_b"),
+    *_floats("apparatus", "y_a", "y_b", "y_c", "y_d", "grad_Bz"),
+    *_floats("packet", "sigma", "k_y"),
+    _Key("packet.chi_plus", "packet.chi_plus", *_COMPLEX),
+    _Key("packet.chi_minus", "packet.chi_minus", *_COMPLEX),
+    *_floats("packet", "t_prime"),
+    _Key("grid.n_points", "grid_n", *_INT, "--grid-n N"),
+    _Key("oracle.n_field_steps", "n_field_steps", *_INT,
+         "--n-field-steps N_FIELD_STEPS", ("oracle-compare",)),
+    _Key("recombine.phase_error", "phase_error", *_FLOAT,
+         "--phase-error PHASE_ERROR", ("recombine",)),
+    _Key("recombine.gap", "stage_gap", *_FLOAT, "--gap GAP", ("recombine",)),
+    _Key("recombine.separated", "separated", *_BOOL, "--separated", ("recombine",)),
+    _Key("sandwich.layers", "layers", *_LAYERS, "--layers LAYERS", ("sandwich",),
+         "semicolon-separated y0:y1:grad triples"),
+    _Key("run.t", "t", *_FLOAT, "--t T"),  # written only when set
+)
+_BY_KEY = {row.key: row for row in _KEYS}
 
 
 def config_from_mapping(kv: dict[str, str], base: RunConfig | None = None) -> RunConfig:
@@ -162,117 +228,32 @@ def config_from_mapping(kv: dict[str, str], base: RunConfig | None = None) -> Ru
     if experiment is None:
         raise ConfigError("run.experiment is required")
     cfg = base if base is not None and base.experiment == experiment else default_config(experiment)
-
-    def fget(key: str, current: float) -> float:
-        if key not in kv:
-            return current
-        try:
-            return float(kv[key])
-        except ValueError as exc:
-            raise ConfigError(f"{key}: not a number: {kv[key]!r}") from exc
-
-    def iget(key: str, current: int) -> int:
-        if key not in kv:
-            return current
-        try:
-            return int(kv[key])
-        except ValueError as exc:
-            raise ConfigError(f"{key}: not an integer: {kv[key]!r}") from exc
-
-    def cget(key: str, current: complex) -> complex:
-        if key not in kv:
-            return current
-        try:
-            return complex(kv[key].replace(" ", ""))
-        except ValueError as exc:
-            raise ConfigError(f"{key}: not a complex number: {kv[key]!r}") from exc
-
-    unknown = set(kv) - _FLOAT_KEYS - _INT_KEYS - {
-        "run.experiment", "run.out", "packet.chi_plus", "packet.chi_minus",
-        "sandwich.layers", "recombine.separated", "run.t",
-    }
+    unknown = kv.keys() - _BY_KEY.keys()
     if unknown:
         raise ConfigError(f"unknown config keys: {sorted(unknown)}")
-
-    units = UnitSystem(
-        hbar=fget("units.hbar", cfg.units.hbar),
-        mass=fget("units.mass", cfg.units.mass),
-        mu_b=fget("units.mu_b", cfg.units.mu_b),
-    )
-    apparatus = Apparatus(
-        y_a=fget("apparatus.y_a", cfg.apparatus.y_a),
-        y_b=fget("apparatus.y_b", cfg.apparatus.y_b),
-        y_c=fget("apparatus.y_c", cfg.apparatus.y_c),
-        y_d=fget("apparatus.y_d", cfg.apparatus.y_d),
-        grad_Bz=fget("apparatus.grad_Bz", cfg.apparatus.grad_Bz),
-    )
-    packet = GaussianPacket(
-        sigma=fget("packet.sigma", cfg.packet.sigma),
-        k_y=fget("packet.k_y", cfg.packet.k_y),
-        chi_plus=cget("packet.chi_plus", cfg.packet.chi_plus),
-        chi_minus=cget("packet.chi_minus", cfg.packet.chi_minus),
-        t_prime=fget("packet.t_prime", cfg.packet.t_prime),
-    )
-    t: float | None
-    if "run.t" in kv:
-        t = float(kv["run.t"])
-    else:
-        t = cfg.t
-    separated = kv.get("recombine.separated", "true" if cfg.separated else "false")
-    if separated not in ("true", "false"):
-        raise ConfigError("recombine.separated must be 'true' or 'false'")
-    return RunConfig(
-        experiment=experiment,
-        units=units,
-        apparatus=apparatus,
-        packet=packet,
-        n=iget("run.n", cfg.n),
-        seed=iget("run.seed", cfg.seed),
-        bins=iget("run.bins", cfg.bins),
-        t=t,
-        grid_n=iget("grid.n_points", cfg.grid_n),
-        n_field_steps=iget("oracle.n_field_steps", cfg.n_field_steps),
-        phase_error=fget("recombine.phase_error", cfg.phase_error),
-        stage_gap=fget("recombine.gap", cfg.stage_gap),
-        separated=(separated == "true"),
-        layers=_parse_layers(kv["sandwich.layers"]) if "sandwich.layers" in kv else cfg.layers,
-        out=kv.get("run.out", cfg.out),
-    )
+    # Each nested object is rebuilt once from all of its overrides, because
+    # its validation spans fields (Apparatus orders y_a < y_b < y_c < y_d).
+    updates: dict[str, dict] = {"": {}}
+    for key, text in kv.items():
+        row = _BY_KEY[key]
+        owner, _, name = row.field.rpartition(".")
+        try:
+            updates.setdefault(owner, {})[name] = row.parse(text)
+        except ValueError as exc:
+            raise ConfigError(f"{key}: {exc}") from exc
+    top = updates.pop("")
+    for owner, changes in updates.items():
+        top[owner] = replace(getattr(cfg, owner), **changes)
+    return replace(cfg, **top)
 
 
 def config_to_text(cfg: RunConfig) -> str:
-    def cfmt(c: complex) -> str:
-        return f"{c.real:.17g}{c.imag:+.17g}j"
-
-    pairs = [
-        ("run.experiment", cfg.experiment),
-        ("run.n", str(cfg.n)),
-        ("run.seed", str(cfg.seed)),
-        ("run.bins", str(cfg.bins)),
-        ("run.out", cfg.out),
-        ("units.hbar", _g(cfg.units.hbar)),
-        ("units.mass", _g(cfg.units.mass)),
-        ("units.mu_b", _g(cfg.units.mu_b)),
-        ("apparatus.y_a", _g(cfg.apparatus.y_a)),
-        ("apparatus.y_b", _g(cfg.apparatus.y_b)),
-        ("apparatus.y_c", _g(cfg.apparatus.y_c)),
-        ("apparatus.y_d", _g(cfg.apparatus.y_d)),
-        ("apparatus.grad_Bz", _g(cfg.apparatus.grad_Bz)),
-        ("packet.sigma", _g(cfg.packet.sigma)),
-        ("packet.k_y", _g(cfg.packet.k_y)),
-        ("packet.chi_plus", cfmt(cfg.packet.chi_plus)),
-        ("packet.chi_minus", cfmt(cfg.packet.chi_minus)),
-        ("packet.t_prime", _g(cfg.packet.t_prime)),
-        ("grid.n_points", str(cfg.grid_n)),
-        ("oracle.n_field_steps", str(cfg.n_field_steps)),
-        ("recombine.phase_error", _g(cfg.phase_error)),
-        ("recombine.gap", _g(cfg.stage_gap)),
-        ("recombine.separated", "true" if cfg.separated else "false"),
-        ("sandwich.layers", _layers_text(cfg.layers)),
-    ]
-    if cfg.t is not None:
-        pairs.append(("run.t", _g(cfg.t)))
-    return "\n".join(f"{k} = {v}" for k, v in pairs) + "\n"
+    lines = []
+    for row in _KEYS:
+        value = attrgetter(row.field)(cfg)
+        if value is not None:
+            lines.append(f"{row.key} = {row.fmt(value)}")
+    return "\n".join(lines) + "\n"
 
 
 def load_config(path: str, base: RunConfig | None = None) -> RunConfig:
@@ -302,7 +283,10 @@ def write_atomic(path: str, text: str) -> None:
 
 
 def _json_text(obj: dict) -> str:
-    return json.dumps(obj, sort_keys=True, indent=2) + "\n"
+    try:
+        return json.dumps(obj, sort_keys=True, indent=2, allow_nan=False) + "\n"
+    except ValueError as exc:
+        raise DomainError(f"refusing to write non-finite value: {exc}") from exc
 
 
 def _csv_text(header: list[str], rows) -> str:
@@ -416,10 +400,8 @@ def _run_oracle_compare(cfg: RunConfig, out: str) -> str:
     report = oracle.compare_analytic_oracle(
         cfg.packet, cfg.apparatus, t, grid, cfg.units, cfg.n_field_steps
     )
-    state = oracle.propagate_packet(
-        cfg.packet, cfg.apparatus, grid, t, cfg.units, cfg.n_field_steps
-    )
     write_atomic(os.path.join(out, "report.json"), _json_text(report.to_json_dict()))
+    state = report.state
     rows = zip(grid.points, state.psi_plus.real, state.psi_plus.imag,
                state.psi_minus.real, state.psi_minus.imag)
     write_atomic(
@@ -484,27 +466,33 @@ _RUNNERS = {
 }
 
 
+def _output_dir(path: str) -> str:
+    try:
+        os.makedirs(path, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(f"run.out: cannot create directory {path!r}: {exc}") from exc
+    return path
+
+
 def run(config: RunConfig) -> int:
     """Execute one configured experiment; returns the process exit code."""
     try:
-        os.makedirs(config.out, exist_ok=True)
-        summary = _RUNNERS[config.experiment](config, config.out)
-    except ConfigError as exc:
-        _emit_error(exc)
-        return EXIT_PARSE
-    except InvalidParameterError as exc:
-        _emit_error(exc)
-        return EXIT_VALIDATION
-    except (DomainError, ExtentError, NoSplitError, GeometryError) as exc:
-        _emit_error(exc)
-        return EXIT_NUMERIC
+        summary = _RUNNERS[config.experiment](config, _output_dir(config.out))
+    except SgSimError as exc:
+        return _fail(exc)
     print(summary)
     return EXIT_OK
 
 
-def _emit_error(exc: SgSimError) -> None:
+def _fail(exc: SgSimError) -> int:
+    """Emit the JSON error record on stderr; return the exit code for exc."""
     record = {"error": type(exc).__name__, "message": str(exc)}
     print(json.dumps(record, sort_keys=True), file=sys.stderr)
+    if isinstance(exc, ConfigError):
+        return EXIT_PARSE
+    if isinstance(exc, InvalidParameterError):
+        return EXIT_VALIDATION
+    return EXIT_NUMERIC
 
 
 # ---------------------------------------------------------------------------
@@ -520,69 +508,35 @@ def _build_parser() -> argparse.ArgumentParser:
     for name in EXPERIMENTS:
         p = sub.add_parser(name)
         p.add_argument("--config", metavar="PATH", default=None)
-        p.add_argument("--out", metavar="DIR", default=None)
-        p.add_argument("--seed", type=int, metavar="N", default=None)
-        p.add_argument("--n", type=int, metavar="N", default=None)
-        p.add_argument("--t", type=float, metavar="T", default=None)
-        p.add_argument("--bins", type=int, metavar="N", default=None)
-        p.add_argument("--grid-n", type=int, metavar="N", default=None)
-        if name == "oracle-compare":
-            p.add_argument("--n-field-steps", type=int, default=None)
-        if name == "recombine":
-            p.add_argument("--phase-error", type=float, default=None)
-            p.add_argument("--gap", type=float, default=None)
-            p.add_argument("--separated", action="store_true", default=False)
-        if name == "sandwich":
-            p.add_argument("--layers", default=None,
-                           help="semicolon-separated y0:y1:grad triples")
+        for row in _KEYS:
+            if row.flag is None or name not in row.commands:
+                continue
+            flag, _, metavar = row.flag.partition(" ")
+            if metavar:
+                p.add_argument(flag, dest=row.key, metavar=metavar, help=row.help)
+            else:
+                p.add_argument(flag, dest=row.key, action="store_const", const="true")
     return parser
 
 
 def _config_from_args(args: argparse.Namespace) -> RunConfig:
-    base = default_config(args.experiment)
+    """Config file over the experiment's defaults, then flags over both; flag
+    values are text and go through the same parsers as file values."""
+    cfg = default_config(args.experiment)
     if args.config:
-        cfg = load_config(args.config, base)
+        cfg = load_config(args.config, cfg)
         if cfg.experiment != args.experiment:
             cfg = replace(cfg, experiment=args.experiment)
-    else:
-        cfg = base
-    updates: dict = {}
-    if args.out is not None:
-        updates["out"] = args.out
-    if args.seed is not None:
-        updates["seed"] = args.seed
-    if args.n is not None:
-        updates["n"] = args.n
-    if args.t is not None:
-        updates["t"] = args.t
-    if args.bins is not None:
-        updates["bins"] = args.bins
-    if args.grid_n is not None:
-        updates["grid_n"] = args.grid_n
-    if getattr(args, "n_field_steps", None) is not None:
-        updates["n_field_steps"] = args.n_field_steps
-    if getattr(args, "phase_error", None) is not None:
-        updates["phase_error"] = args.phase_error
-    if getattr(args, "gap", None) is not None:
-        updates["stage_gap"] = args.gap
-    if getattr(args, "separated", False):
-        updates["separated"] = True
-    if getattr(args, "layers", None) is not None:
-        updates["layers"] = _parse_layers(args.layers)
-    return replace(cfg, **updates) if updates else cfg
+    flags = {k: v for k, v in vars(args).items() if k in _BY_KEY and v is not None}
+    return config_from_mapping(flags, cfg)
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _build_parser().parse_args(argv)
     try:
         cfg = _config_from_args(args)
-    except ConfigError as exc:
-        _emit_error(exc)
-        return EXIT_PARSE
-    except InvalidParameterError as exc:
-        _emit_error(exc)
-        return EXIT_VALIDATION
+    except SgSimError as exc:
+        return _fail(exc)
     return run(cfg)
 
 

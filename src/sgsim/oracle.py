@@ -242,7 +242,8 @@ def suggest_grid(
 
 @dataclass(frozen=True)
 class OracleComparison:
-    """Per-component L2 error of the closed form against the grid propagator."""
+    """Per-component L2 error of the closed form against the grid propagator;
+    ``state`` is the propagated grid state the errors were measured on."""
 
     err_plus: float
     err_minus: float
@@ -251,6 +252,7 @@ class OracleComparison:
     norm_analytic: float
     t_final: float
     n_points: int
+    state: GridState
 
     def to_json_dict(self) -> dict:
         return {
@@ -325,4 +327,5 @@ def compare_analytic_oracle(
         norm_analytic=analytic_norm,
         t_final=t_final,
         n_points=grid.n_points,
+        state=state,
     )

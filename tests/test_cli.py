@@ -1,11 +1,16 @@
 import json
 import math
 import os
+import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from sgsim import cli, oracle
 from sgsim.cli import (
+    EXPERIMENTS,
     RunConfig,
     config_from_mapping,
     config_to_text,
@@ -14,7 +19,8 @@ from sgsim.cli import (
     main,
     parse_config_text,
 )
-from sgsim.errors import ConfigError
+from sgsim.core import Apparatus, GaussianPacket, UnitSystem
+from sgsim.errors import ConfigError, InvalidParameterError
 
 
 def run_cli(args, tmp_path, name):
@@ -63,6 +69,75 @@ def test_config_roundtrip_nondefault_values():
     assert again == cfg
 
 
+_finite = st.floats(allow_nan=False, allow_infinity=False)
+_positive = st.floats(min_value=0.0, exclude_min=True, allow_infinity=False)
+
+
+@st.composite
+def _run_configs(draw):
+    y_a, y_b, y_c, y_d = sorted(draw(st.sets(_finite, min_size=4, max_size=4)))
+    theta, phi_p, phi_m = (draw(st.floats(-7.0, 7.0)) for _ in range(3))
+    packet = GaussianPacket(
+        sigma=draw(_positive),
+        k_y=draw(_positive),
+        chi_plus=complex(math.cos(theta) * math.cos(phi_p), math.cos(theta) * math.sin(phi_p)),
+        chi_minus=complex(math.sin(theta) * math.cos(phi_m), math.sin(theta) * math.sin(phi_m)),
+        t_prime=draw(_finite),
+    )
+    return RunConfig(
+        experiment=draw(st.sampled_from(EXPERIMENTS)),
+        units=UnitSystem(draw(_positive), draw(_positive), draw(_positive)),
+        apparatus=Apparatus(y_a, y_b, y_c, y_d, draw(_finite)),
+        packet=packet,
+        n=draw(st.integers(1, 10**12)),
+        seed=draw(st.integers(0, 2**64)),
+        bins=draw(st.integers(2, 10**6)),
+        t=draw(st.none() | _finite),
+        grid_n=draw(st.integers(-(10**6), 10**6)),
+        n_field_steps=draw(st.integers(1, 10**6)),
+        phase_error=draw(_finite),
+        stage_gap=draw(_finite),
+        separated=draw(st.booleans()),
+        layers=tuple(draw(st.lists(st.tuples(_finite, _finite, _finite), max_size=3))),
+        out=draw(st.text("abcxyz0123456789-_./", max_size=20)),
+    )
+
+
+@settings(max_examples=300, deadline=None)
+@given(_run_configs())
+def test_config_text_roundtrip_property(cfg):
+    assert config_from_mapping(parse_config_text(config_to_text(cfg))) == cfg
+
+
+def test_config_text_golden():
+    assert config_to_text(default_config("oracle-compare")) == (
+        "run.experiment = oracle-compare\n"
+        "run.n = 100000\n"
+        "run.seed = 42\n"
+        "run.bins = 40\n"
+        "run.out = sgsim-out\n"
+        "units.hbar = 1\n"
+        "units.mass = 1\n"
+        "units.mu_b = 1\n"
+        "apparatus.y_a = 0\n"
+        "apparatus.y_b = 4.9749999999999996\n"
+        "apparatus.y_c = 5.0250000000000004\n"
+        "apparatus.y_d = 10\n"
+        "apparatus.grad_Bz = 200\n"
+        "packet.sigma = 1\n"
+        "packet.k_y = 10\n"
+        "packet.chi_plus = 0.70710678118654746+0j\n"
+        "packet.chi_minus = 0.70710678118654746+0j\n"
+        "packet.t_prime = 0\n"
+        "grid.n_points = 4096\n"
+        "oracle.n_field_steps = 256\n"
+        "recombine.phase_error = 0\n"
+        "recombine.gap = 0.0001\n"
+        "recombine.separated = false\n"
+        "sandwich.layers = 5:6:100\n"
+    )
+
+
 def test_parse_rejects_malformed_lines():
     with pytest.raises(ConfigError):
         parse_config_text("this is not a key value pair")
@@ -85,6 +160,18 @@ def test_non_numeric_value_rejected():
         config_from_mapping(
             {"run.experiment": "classical", "apparatus.y_b": "wide"}
         )
+
+
+@pytest.mark.parametrize(
+    "changes",
+    [{"seed": -1}, {"n_field_steps": 0}, {"n_field_steps": -3}, {"t": math.inf},
+     {"t": math.nan}, {"phase_error": math.inf}, {"stage_gap": math.nan},
+     {"layers": ((5.0, math.inf, 1.0),)}],
+    ids=lambda c: "-".join(f"{k}={v}" for k, v in c.items()),
+)
+def test_run_config_bounds(changes):
+    with pytest.raises(InvalidParameterError):
+        RunConfig(experiment="oracle-compare", **changes)
 
 
 def test_missing_experiment_rejected():
@@ -250,3 +337,83 @@ def test_csv_floats_have_full_precision(tmp_path):
     row = (out / "histogram.csv").read_text().splitlines()[1]
     lo = row.split(",")[0]
     assert float(lo) == -20.5  # parses back exactly
+
+
+def test_cli_bounds_exit_validation(tmp_path, capsys):
+    for argv in (
+        ["oracle-compare", "--n-field-steps", "-3"],
+        ["oracle-compare", "--n-field-steps", "0"],
+        ["classical", "--seed", "-1"],
+    ):
+        assert main(argv + ["--out", str(tmp_path / "x")]) == 3
+        record = json.loads(capsys.readouterr().err)
+        assert record["error"] == "InvalidParameterError"
+
+
+@pytest.mark.parametrize("experiment", ["evolve", "density"])
+def test_non_finite_results_not_written(experiment, tmp_path, capsys):
+    out = tmp_path / experiment
+    with np.errstate(all="ignore"):
+        code = main([experiment, "--t", "1e300", "--out", str(out)])
+    assert code == 4
+    assert json.loads(capsys.readouterr().err)["error"] == "DomainError"
+    assert os.listdir(out) == []
+
+
+def test_oracle_compare_propagates_once(tmp_path, monkeypatch):
+    calls = []
+    propagate = oracle.propagate_packet
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return propagate(*args, **kwargs)
+
+    monkeypatch.setattr(oracle, "propagate_packet", counting)
+    code, out = run_cli(["oracle-compare"], tmp_path, "o1")
+    assert code == 0 and len(calls) == 1
+    assert (out / "snapshot.csv").exists()
+
+
+# Malformed text per key; "abc" where the key takes a number.
+_MALFORMED = {
+    "run.experiment": "warp-drive",
+    "run.out": "{blocker}/sub",  # a directory that cannot be made
+    "recombine.separated": "maybe",
+    "sandwich.layers": "5:x:1",
+}
+
+
+@pytest.mark.parametrize("row", cli._KEYS, ids=lambda row: row.key)
+def test_malformed_key_value_gives_one_json_record(row, tmp_path, capsys):
+    blocker = tmp_path / "blocker"
+    blocker.write_text("")
+    bad = _MALFORMED.get(row.key, "abc").format(blocker=blocker)
+    command = row.commands[0]
+    cfg_path = tmp_path / "bad.cfg"
+    cfg_path.write_text(f"{row.key} = {bad}\n")
+    argvs = [[command, "--config", str(cfg_path)]]
+    flag, _, metavar = (row.flag or "").partition(" ")
+    if metavar:
+        argvs.append([command, flag, bad])
+    for argv in argvs:
+        if row.key != "run.out":
+            argv += ["--out", str(tmp_path / "out")]
+        code = main(argv)
+        err = capsys.readouterr().err
+        assert code in (2, 3), argv
+        (line,) = err.splitlines()
+        assert set(json.loads(line)) == {"error", "message"}
+
+
+def test_flags_per_subcommand(capsys):
+    common = {"--config", "--out", "--seed", "--n", "--t", "--bins", "--grid-n"}
+    extra = {
+        "oracle-compare": {"--n-field-steps"},
+        "recombine": {"--phase-error", "--gap", "--separated"},
+        "sandwich": {"--layers"},
+    }
+    for name in EXPERIMENTS:
+        with pytest.raises(SystemExit):
+            main([name, "--help"])
+        flags = set(re.findall(r"--[\w-]+", capsys.readouterr().out))
+        assert flags == {"--help"} | common | extra.get(name, set()), name
