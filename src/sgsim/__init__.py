@@ -44,8 +44,8 @@ from .oracle import (
     GridState,
     OracleComparison,
     compare_analytic_oracle,
+    propagate,
     propagate_packet,
-    split_step_evolve,
     suggest_grid,
 )
 from .experiments import (
@@ -119,12 +119,12 @@ __all__ = [
     "meanfield_ensemble",
     "meanfield_ensemble_density",
     "meanfield_evolve",
+    "propagate",
     "propagate_packet",
     "recombine",
     "sandwich",
     "sg_kernel",
     "spin_moment_average",
-    "split_step_evolve",
     "suggest_grid",
     "z_action",
 ]

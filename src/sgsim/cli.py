@@ -477,7 +477,10 @@ def _output_dir(path: str) -> str:
 def run(config: RunConfig) -> int:
     """Execute one configured experiment; returns the process exit code."""
     try:
-        summary = _RUNNERS[config.experiment](config, _output_dir(config.out))
+        with np.errstate(over="raise", invalid="raise"):
+            summary = _RUNNERS[config.experiment](config, _output_dir(config.out))
+    except FloatingPointError as exc:
+        return _fail(DomainError(f"numeric overflow or invalid operation: {exc}"))
     except SgSimError as exc:
         return _fail(exc)
     print(summary)

@@ -124,6 +124,9 @@ class GaussianPacket:
             raise InvalidParameterError(f"sigma must be positive, got {self.sigma}")
         if self.k_y <= 0:
             raise InvalidParameterError(f"k_y must be positive, got {self.k_y}")
+        _require_finite("spinor amplitudes", *(
+            part for c in (self.chi_plus, self.chi_minus) for part in (c.real, c.imag)
+        ))
         norm = abs(self.chi_plus) ** 2 + abs(self.chi_minus) ** 2
         if abs(norm - 1.0) > 1e-9:
             raise InvalidParameterError(

@@ -37,7 +37,7 @@ from .errors import (
     InvalidParameterError,
     NoSplitError,
 )
-from .oracle import Grid1D, GridState, _strang
+from .oracle import Grid1D, GridState, field_schedule, propagate
 
 _NOMINAL_COUNTS = 1_000_000  # scale for converting grid probability mass to counts
 
@@ -335,45 +335,30 @@ def sandwich(
     """Evolve the packet through the layer stack on the grid and count the
     resolved peaks in the final z density."""
     v = units.hbar * packet.k_y / units.mass
-    if t_final <= packet.t_prime:
-        raise DomainError("t_final must exceed the emission time")
+    windows = [
+        (packet.t_prime + (layer.y_start - y_source) / v,
+         packet.t_prime + (layer.y_end - y_source) / v,
+         layer.grad_Bz)
+        for layer in layers.layers
+    ]
+    schedule = field_schedule(packet.t_prime, t_final, windows)
     for layer in layers.layers:
         if layer.y_start < y_source:
             raise GeometryError("layers must lie downstream of the source")
-
-    # layer schedule in time
-    events: list[tuple[float, float, float]] = []
-    for layer in layers.layers:
-        t0 = packet.t_prime + (layer.y_start - y_source) / v
-        t1 = packet.t_prime + (layer.y_end - y_source) / v
-        if t0 >= t_final:
-            continue
-        events.append((t0, min(t1, t_final), layer.grad_Bz))
 
     if grid is None:
         tau = t_final - packet.t_prime
         f = dispersion_factor(tau, packet.sigma, units)
         drift = sum(
-            abs(g) * units.mu_b * (l1 - l0) / units.mass
-            * (t_final - 0.5 * (l0 + l1))
-            for l0, l1, g in events
+            abs(g) * units.mu_b * (t1 - t0) / units.mass
+            * (t_final - 0.5 * (t0 + t1))
+            for t0, t1, g in schedule
         )
         half = 1.25 * (drift + 8.0 * packet.sigma * abs(f)) + packet.sigma
         grid = Grid1D(z_min=-half, z_max=half, n_points=4096)
 
     state = GridState.from_packet(packet, grid, units)
-    psi_p = np.array(state.psi_plus, dtype=complex)
-    psi_m = np.array(state.psi_minus, dtype=complex)
-    cuts = sorted({packet.t_prime, t_final, *(t for e in events for t in e[:2])})
-    for t0, t1 in zip(cuts[:-1], cuts[1:]):
-        if t1 <= t0:
-            continue
-        mid = 0.5 * (t0 + t1)
-        grad = next((g for s0, s1, g in events if s0 <= mid < s1), 0.0)
-        n = n_field_steps if grad != 0.0 else 16
-        psi_p, psi_m = _strang(psi_p, psi_m, grid, grad, (t1 - t0) / n, n, units)
-    final = GridState(grid=grid, psi_plus=psi_p, psi_minus=psi_m, t=t_final)
-    final.check_extent()
+    final = propagate(state, schedule, n_field_steps, units)
 
     density = final.density()
     report = detect_bimodality(density, grid.points)

@@ -8,11 +8,12 @@ those directions factor out exactly.
 
 Scheme: Strang splitting, exp(-i*V*dt/2) F^-1 exp(-i*T*dt) F exp(-i*V*dt/2)
 per component, with V_plus = +mu_b*B'*z and V_minus = -mu_b*B'*z while the
-packet center is inside the interaction region and zero otherwise (the spin-up
+packet center is inside a field window and zero otherwise (the spin-up
 branch feels a force toward -z).  The kinetic step is exact on the grid and
 unitary; the potential step is a pure phase, so the norm is conserved to
-rounding.  Segment boundaries are snapped to t_b and t_c, so the abrupt field
-never needs sub-step blending.
+rounding.  ``field_schedule`` cuts the time axis at every window edge, so the
+abrupt field never needs sub-step blending, and ``propagate`` is the one loop
+that steps a state through such a schedule.
 """
 
 from __future__ import annotations
@@ -28,13 +29,13 @@ from .core import (
     Branch,
     DEFAULT_UNITS,
     GaussianPacket,
-    Timing,
     UnitSystem,
     derive_timing,
 )
 from .errors import DomainError, ExtentError, InvalidParameterError
 
 _EDGE_TOL = 1e-10  # max tolerated relative density at the grid boundary
+_FREE_STEPS = 16  # Strang steps per free segment (the kinetic step is exact there)
 
 
 @dataclass(frozen=True)
@@ -152,40 +153,67 @@ def _strang(
     return psi_p, psi_m
 
 
-def split_step_evolve(
+def field_schedule(
+    t_start: float,
+    t_final: float,
+    fields: list[tuple[float, float, float]],
+) -> list[tuple[float, float, float]]:
+    """Cut [t_start, t_final] at every edge of the non-overlapping
+    (t_on, t_off, grad_Bz) windows in ``fields``.
+
+    Returns the (t0, t1, grad) segments in time order; each carries the
+    gradient of the window holding its midpoint, 0 outside every window.
+    """
+    if not t_final > t_start:
+        raise DomainError(f"t_final must exceed the start time {t_start}, got {t_final}")
+    edges = {t for t_on, t_off, _ in fields for t in (t_on, t_off)}
+    cuts = sorted({t_start, t_final} | {max(t_start, min(t, t_final)) for t in edges})
+    schedule = []
+    for t0, t1 in zip(cuts[:-1], cuts[1:]):
+        mid = 0.5 * (t0 + t1)
+        grad = next((g for t_on, t_off, g in fields if t_on <= mid < t_off), 0.0)
+        schedule.append((t0, t1, grad))
+    return schedule
+
+
+def propagate(
     state: GridState,
-    apparatus: Apparatus,
-    timing: Timing,
-    dt_step: float,
-    n_steps: int,
+    schedule: list[tuple[float, float, float]],
+    n_field_steps: int,
     units: UnitSystem = DEFAULT_UNITS,
 ) -> GridState:
-    """Advance the state by n_steps of dt_step; field on while the substep
-    midpoint lies in [t_b, t_c).
+    """Step the state through the (t0, t1, grad) segments of ``schedule``,
+    which starts at ``state.t``: n_field_steps Strang steps per field segment,
+    _FREE_STEPS per free one.
 
-    Unconditionally stable; dt_step <= dz^2 * m / (pi * hbar) keeps the
-    per-step splitting error comparable to the spatial resolution.
+    Raises ExtentError when the grid cannot hold the state, in momentum
+    before stepping (the largest held |k| plus the largest accumulated kick
+    reaches pi/dz) or in position afterwards.
     """
-    if dt_step <= 0:
-        raise InvalidParameterError(f"dt_step must be positive, got {dt_step}")
-    if n_steps < 0:
-        raise InvalidParameterError(f"n_steps must be >= 0, got {n_steps}")
-    state.check_extent()
+    if n_field_steps < 1:
+        raise InvalidParameterError(f"n_field_steps must be >= 1, got {n_field_steps}")
+    grid = state.grid
     psi_p = np.array(state.psi_plus, dtype=complex)
     psi_m = np.array(state.psi_minus, dtype=complex)
-    for j in range(n_steps):
-        t_mid = state.t + (j + 0.5) * dt_step
-        grad = apparatus.grad_Bz if timing.t_b <= t_mid < timing.t_c else 0.0
-        psi_p, psi_m = _strang(psi_p, psi_m, state.grid, grad, dt_step, 1, units)
-    out = GridState(
-        grid=state.grid, psi_plus=psi_p, psi_minus=psi_m, t=state.t + n_steps * dt_step
-    )
+    spectrum = np.abs(np.fft.fft(psi_p)) ** 2 + np.abs(np.fft.fft(psi_m)) ** 2
+    peak = float(spectrum.max())
+    if peak > 0.0:
+        k_held = float(np.abs(grid.wavenumbers[spectrum > _EDGE_TOL * peak]).max())
+        kicks = np.cumsum([units.mu_b * g * (t1 - t0) / units.hbar
+                           for t0, t1, g in schedule])
+        k_reach = k_held + float(np.abs(kicks).max(initial=0.0))
+        if k_reach >= math.pi / grid.dz:
+            raise ExtentError(
+                f"state needs wavenumbers up to {k_reach:.4g} but the grid holds "
+                f"{math.pi / grid.dz:.4g}; refine the grid"
+            )
+    for t0, t1, grad in schedule:
+        n = n_field_steps if grad != 0.0 else _FREE_STEPS
+        psi_p, psi_m = _strang(psi_p, psi_m, grid, grad, (t1 - t0) / n, n, units)
+    t = schedule[-1][1] if schedule else state.t
+    out = GridState(grid=grid, psi_plus=psi_p, psi_minus=psi_m, t=t)
     out.check_extent()
     return out
-
-
-def _segment_steps(duration: float, target_dt: float) -> int:
-    return max(1, int(math.ceil(duration / target_dt)))
 
 
 def propagate_packet(
@@ -195,34 +223,15 @@ def propagate_packet(
     t_final: float,
     units: UnitSystem = DEFAULT_UNITS,
     n_field_steps: int = 256,
-    n_free_steps: int = 16,
 ) -> GridState:
-    """Evolve the packet's z factor from emission to t_final on the grid.
-
-    The time axis is split at t_b and t_c, so each segment has a constant
-    potential; free segments are exact for any step size.
-    """
+    """Evolve the packet's z factor from emission to t_final on the grid,
+    with the field on between t_b and t_c."""
     timing = derive_timing(apparatus, packet, units)
-    if t_final <= packet.t_prime:
-        raise DomainError(f"t_final must exceed emission time {packet.t_prime}")
+    schedule = field_schedule(
+        packet.t_prime, t_final, [(timing.t_b, timing.t_c, apparatus.grad_Bz)]
+    )
     state = GridState.from_packet(packet, grid, units)
-    segments: list[tuple[float, float, float]] = []
-    cuts = [packet.t_prime, timing.t_b, timing.t_c, t_final]
-    cuts = sorted(set(min(c, t_final) for c in cuts))
-    for t0, t1 in zip(cuts[:-1], cuts[1:]):
-        if t1 <= t0:
-            continue
-        mid = 0.5 * (t0 + t1)
-        grad = apparatus.grad_Bz if timing.t_b <= mid < timing.t_c else 0.0
-        segments.append((t0, t1, grad))
-    psi_p = np.array(state.psi_plus, dtype=complex)
-    psi_m = np.array(state.psi_minus, dtype=complex)
-    for t0, t1, grad in segments:
-        n = n_field_steps if grad != 0.0 else n_free_steps
-        psi_p, psi_m = _strang(psi_p, psi_m, grid, grad, (t1 - t0) / n, n, units)
-    out = GridState(grid=grid, psi_plus=psi_p, psi_minus=psi_m, t=t_final)
-    out.check_extent()
-    return out
+    return propagate(state, schedule, n_field_steps, units)
 
 
 def suggest_grid(
@@ -284,7 +293,6 @@ def compare_analytic_oracle(
     grid: Grid1D | None = None,
     units: UnitSystem = DEFAULT_UNITS,
     n_field_steps: int = 256,
-    n_free_steps: int = 16,
 ) -> OracleComparison:
     """Grid-propagate the packet and compare with the closed-form z marginals.
 
@@ -297,9 +305,7 @@ def compare_analytic_oracle(
         raise DomainError(f"t_final must exceed t_c = {timing.t_c}")
     if grid is None:
         grid = suggest_grid(packet, apparatus, t_final, units=units)
-    state = propagate_packet(
-        packet, apparatus, grid, t_final, units, n_field_steps, n_free_steps
-    )
+    state = propagate_packet(packet, apparatus, grid, t_final, units, n_field_steps)
     field = evolve_packet(packet, apparatus, t_final, units)
     z = grid.points
     target_p = packet.chi_plus * field.z_marginal_amplitude(Branch.PLUS, z)

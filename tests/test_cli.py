@@ -353,11 +353,35 @@ def test_cli_bounds_exit_validation(tmp_path, capsys):
 @pytest.mark.parametrize("experiment", ["evolve", "density"])
 def test_non_finite_results_not_written(experiment, tmp_path, capsys):
     out = tmp_path / experiment
-    with np.errstate(all="ignore"):
-        code = main([experiment, "--t", "1e300", "--out", str(out)])
+    code = main([experiment, "--t", "1e300", "--out", str(out)])
     assert code == 4
     assert json.loads(capsys.readouterr().err)["error"] == "DomainError"
     assert os.listdir(out) == []
+
+
+@pytest.mark.parametrize("argv", [
+    ["sandwich", "--layers", "5:6:340", "--t", "5.6"],  # k = 38.8 > pi/dz = 23.6
+    ["oracle-compare", "--t", "10000"],
+    ["oracle-compare", "--t", "100"],  # k = 5.80 > pi/dz = 5.72
+])
+def test_grid_refuses_unheld_momentum(argv, tmp_path, capsys):
+    out = tmp_path / "m"
+    assert main(argv + ["--out", str(out)]) == 4
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1
+    record = json.loads(err)
+    assert record["error"] == "ExtentError" and "wavenumbers" in record["message"]
+    assert os.listdir(out) == []
+
+
+def test_nan_spinor_config_rejected(tmp_path, capsys):
+    cfg_path = tmp_path / "nan.cfg"
+    cfg_path.write_text("run.experiment = backtrack\npacket.chi_plus = nan+0j\n")
+    code = main(["backtrack", "--config", str(cfg_path), "--out", str(tmp_path / "b")])
+    assert code == 3
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1
+    assert json.loads(err)["error"] == "InvalidParameterError"
 
 
 def test_oracle_compare_propagates_once(tmp_path, monkeypatch):

@@ -52,6 +52,15 @@ def test_packet_requires_normalized_spinor():
         GaussianPacket(k_y=0.0)
 
 
+@pytest.mark.parametrize("bad", [complex("nan"), complex(0.0, math.nan), math.nan])
+def test_packet_rejects_non_finite_spinor(bad):
+    # abs(norm - 1) > tol is False for NaN, so the norm check alone lets it in
+    with pytest.raises(InvalidParameterError):
+        GaussianPacket(chi_plus=bad)
+    with pytest.raises(InvalidParameterError):
+        GaussianPacket(chi_plus=1.0, chi_minus=bad)
+
+
 def test_with_spin_replaces_only_spinor(default_packet):
     p = default_packet.with_spin(1.0, 0.0)
     assert p.chi_plus == 1.0 and p.chi_minus == 0.0

@@ -6,6 +6,7 @@ import pytest
 from sgsim import (
     Apparatus,
     DomainError,
+    ExtentError,
     GaussianPacket,
     GeometryError,
     InvalidParameterError,
@@ -260,6 +261,20 @@ def test_sandwich_rejects_upstream_layers(default_packet):
                  y_source=0.0)
     with pytest.raises(DomainError):
         sandwich(default_packet, LayerStack(()), 0.0)
+
+
+def test_sandwich_refuses_unheld_momentum(default_packet):
+    # kick k = 40 against pi/dz = 20.7 on the default 4096-point grid; the
+    # aliased state used to come back with a spin-up branch at +7.3
+    with pytest.raises(ExtentError, match="wavenumbers"):
+        sandwich(default_packet, LayerStack((Layer(5.0, 6.0, 400.0),)), 5.6)
+
+
+def test_sandwich_rejects_field_steps_below_one(default_packet):
+    stack = LayerStack((Layer(5.0, 6.0, 100.0),))
+    for n in (-3, 0):
+        with pytest.raises(InvalidParameterError):
+            sandwich(default_packet, stack, 5.6, n_field_steps=n)
 
 
 def test_kick_velocity_consistency(default_apparatus, default_packet):

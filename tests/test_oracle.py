@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from sgsim import (
     Apparatus,
@@ -16,11 +17,11 @@ from sgsim import (
     compare_analytic_oracle,
     derive_timing,
     detection_time,
+    propagate,
     propagate_packet,
-    split_step_evolve,
     suggest_grid,
 )
-from sgsim.oracle import _strang
+from sgsim.oracle import _strang, field_schedule
 from sgsim.core import DEFAULT_UNITS
 
 
@@ -53,9 +54,10 @@ def test_norm_conserved_per_step(default_apparatus, default_packet):
     timing = derive_timing(default_apparatus, default_packet)
     grid = Grid1D(-40.0, 40.0, 1024)
     state = GridState.from_packet(default_packet, grid)
+    field = [(timing.t_b, timing.t_c, default_apparatus.grad_Bz)]
     norms = [state.norm()]
     for _ in range(40):
-        state = split_step_evolve(state, default_apparatus, timing, 0.02, 1)
+        state = propagate(state, field_schedule(state.t, state.t + 0.02, field), 1)
         norms.append(state.norm())
     drifts = np.abs(np.diff(norms))
     assert np.all(drifts < 1e-12)
@@ -131,8 +133,11 @@ def test_component_independence(default_apparatus, default_packet):
         grid=grid, psi_plus=both.psi_plus, psi_minus=np.zeros_like(both.psi_minus),
         t=both.t,
     )
-    a = split_step_evolve(both, default_apparatus, timing, 0.01, 80)
-    b = split_step_evolve(up_only, default_apparatus, timing, 0.01, 80)
+    schedule = field_schedule(
+        both.t, both.t + 0.8, [(timing.t_b, timing.t_c, default_apparatus.grad_Bz)]
+    )
+    a = propagate(both, schedule, 10)
+    b = propagate(up_only, schedule, 10)
     assert np.array_equal(a.psi_plus, b.psi_plus)
 
 
@@ -173,10 +178,65 @@ def test_split_step_parameter_validation(default_apparatus, default_packet):
     timing = derive_timing(default_apparatus, default_packet)
     grid = Grid1D(-40.0, 40.0, 1024)
     state = GridState.from_packet(default_packet, grid)
-    with pytest.raises(InvalidParameterError):
-        split_step_evolve(state, default_apparatus, timing, -0.1, 5)
-    with pytest.raises(InvalidParameterError):
-        split_step_evolve(state, default_apparatus, timing, 0.1, -1)
+    field = [(timing.t_b, timing.t_c, default_apparatus.grad_Bz)]
+    with pytest.raises(DomainError):
+        field_schedule(state.t, state.t - 0.1, field)
+    with pytest.raises(DomainError):
+        field_schedule(state.t, state.t, field)
+    for n in (-3, 0):
+        with pytest.raises(InvalidParameterError):
+            propagate(state, field_schedule(state.t, state.t + 0.1, field), n)
+        with pytest.raises(InvalidParameterError):
+            propagate_packet(
+                default_packet, default_apparatus, grid, 2.0, n_field_steps=n
+            )
+
+
+_times = st.floats(-50.0, 50.0, allow_nan=False)
+
+
+@given(
+    t_start=_times,
+    length=st.floats(1e-6, 50.0),
+    edges=st.lists(_times, max_size=8, unique=True),
+    grads=st.lists(st.sampled_from([0.0, 1.5, -2.0, 300.0]), min_size=4, max_size=4),
+)
+def test_field_schedule_tiles_interval(t_start, length, edges, grads):
+    t_final = t_start + length
+    edges = sorted(edges)
+    fields = [
+        (on, off, grads[i % 4])
+        for i, (on, off) in enumerate(zip(edges[0::2], edges[1::2]))
+    ]
+    schedule = field_schedule(t_start, t_final, fields)
+    assert schedule[0][0] == t_start and schedule[-1][1] == t_final
+    for (_, a1, _), (b0, _, _) in zip(schedule[:-1], schedule[1:]):
+        assert a1 == b0
+    for t0, t1, grad in schedule:
+        assert t1 > t0
+        mid = 0.5 * (t0 + t1)
+        holder = [(on, off, g) for on, off, g in fields if on <= mid < off]
+        assert grad == (holder[0][2] if holder else 0.0)
+        # no window edge falls strictly inside a segment
+        assert not any(t0 < e < t1 for window in fields for e in window[:2])
+
+
+def test_propagate_refuses_momentum_overflow(default_packet):
+    # kick k = mu_b * 400 * 0.1 = 40 against pi/dz = 20.1 on this grid
+    grid = Grid1D(-40.0, 40.0, 512)
+    state = GridState.from_packet(default_packet, grid)
+    schedule = field_schedule(0.0, 1.0, [(0.5, 0.6, 400.0)])
+    with pytest.raises(ExtentError, match="wavenumbers"):
+        propagate(state, schedule, 16)
+    # a kick that stays inside the band passes; kicks accumulate over windows
+    propagate(state, field_schedule(0.0, 1.0, [(0.5, 0.6, 100.0)]), 16)
+    same = [(0.5, 0.6, 100.0), (0.7, 0.8, 100.0)]
+    with pytest.raises(ExtentError, match="wavenumbers"):
+        propagate(state, field_schedule(0.0, 1.0, same), 16)
+    opposed = [(0.5, 0.6, 100.0), (0.7, 0.8, -100.0)]
+    propagate(state, field_schedule(0.0, 1.0, opposed), 16)
+    empty = GridState(grid, np.zeros(512, complex), np.zeros(512, complex), 0.0)
+    assert propagate(empty, schedule, 16).norm() == 0.0
 
 
 def test_branch_separation_direction(default_apparatus, default_packet):
