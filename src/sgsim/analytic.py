@@ -157,7 +157,7 @@ class SpinorField:
 
     The closed form factorizes into x, y, and z pieces; each 1-D factor is
     unit-normalized, which makes marginals exact without quadrature.  The
-    field is a lazy evaluator: call the component methods at arbitrary points
+    field is a lazy evaluator: call the factor methods at arbitrary points
     or sample a grid explicitly.
     """
 
@@ -187,9 +187,13 @@ class SpinorField:
         """Gaussian amplitude width sigma*|f|; the density sd is width/sqrt(2)."""
         return self.packet.sigma * abs(self.f)
 
+    def kicked_center(self, s: float) -> float:
+        """Center s * v_z * (t - tbar) of the z factor kicked by s * v_z."""
+        return s * self.timing.v_z * (self.t - self.timing.t_bar)
+
     def branch_center(self, branch: Branch) -> float:
         """Center of the branch's z marginal: -+ v_z * (t - tbar)."""
-        return branch.deflection_sign * self.timing.v_z * (self.t - self.timing.t_bar)
+        return self.kicked_center(branch.deflection_sign)
 
     def _norm_1d(self) -> complex:
         sigma = self.packet.sigma
@@ -211,23 +215,27 @@ class SpinorField:
             - 1j * hbar * k_y * k_y * self.tau / (2.0 * m * self.f)
         )
 
-    def z_marginal_amplitude(self, branch: Branch, z):
-        """Unit-norm z factor of the branch wave function (spinor weight excluded)."""
+    def z_factor(self, s: float, z):
+        """Unit-norm z factor kicked by s * v_z, centered at kicked_center(s).
+
+        s = -+1 gives the spin branches; the mean-field state scales the kick
+        by s = <mu_z>/mu_b.  The s*s term is the constant companion of the
+        kick; its real part keeps the factor normalized.
+        """
         sigma = self.packet.sigma
         hbar, m = self.units.hbar, self.units.mass
         v_z = self.timing.v_z
-        s = branch.deflection_sign
         z = np.asarray(z)
         drift = self.t - self.timing.t_bar
         return self._norm_1d() * np.exp(
             -z * z / (2.0 * sigma * sigma * self.f)
             + s * 1j * m * v_z * self.f_bar * z / (hbar * self.f)
-            - 1j * m * v_z * v_z * drift * drift / (2.0 * hbar * self.tau * self.f)
+            - s * s * 1j * m * v_z * v_z * drift * drift / (2.0 * hbar * self.tau * self.f)
         )
 
-    def component(self, branch: Branch, x, y, z):
-        """Spatial amplitude phi_branch(t, x, y, z) (spinor weight excluded)."""
-        return self.x_factor(x) * self.y_factor(y) * self.z_marginal_amplitude(branch, z)
+    def z_marginal_amplitude(self, branch: Branch, z):
+        """Unit-norm z factor of the branch wave function (spinor weight excluded)."""
+        return self.z_factor(branch.deflection_sign, z)
 
     def z_marginal_density(self, z):
         """|h_+|^2 |chi_+|^2 + |h_-|^2 |chi_-|^2, exact x/y integration."""
@@ -237,11 +245,6 @@ class SpinorField:
             + np.abs(self.z_marginal_amplitude(Branch.MINUS, z)) ** 2
             * abs(self.packet.chi_minus) ** 2
         )
-
-    def probability_density(self, x, y, z):
-        """p = |phi_+|^2 |chi_+|^2 + |phi_-|^2 |chi_-|^2 at a point."""
-        envelope = np.abs(self.x_factor(x)) ** 2 * np.abs(self.y_factor(y)) ** 2
-        return envelope * self.z_marginal_density(z)
 
     def sample_grid(self, x, y, z):
         """Sample both components on the outer product of coordinate arrays.

@@ -445,10 +445,7 @@ def _run_sandwich(cfg: RunConfig, out: str) -> str:
         tuple(experiments.Layer(*triple) for triple in cfg.layers)
     )
     t = _field_time(cfg)
-    result = experiments.sandwich(
-        cfg.packet, stack, t, bins=cfg.bins if cfg.bins >= 16 else 128,
-        units=cfg.units,
-    )
+    result = experiments.sandwich(cfg.packet, stack, t, bins=cfg.bins, units=cfg.units)
     write_atomic(os.path.join(out, "histogram.csv"), result.histogram.to_csv_text())
     write_atomic(os.path.join(out, "report.json"), _json_text(result.to_json_dict()))
     return f"sandwich: peaks={result.peak_count} -> {out}/report.json"

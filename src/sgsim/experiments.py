@@ -3,9 +3,10 @@ multilayer beam splitting, and bimodality detection.
 
 The collapse point is found exactly as an experimenter would: fit straight
 lines to the branch centroids at several post-interaction stations and
-intersect them.  Recombination uses impulsive kick kinematics for the branch
-centers plus a quadrature overlap of the closed-form branch Gaussians, with
-an injectable relative phase error modeling imperfect phase maintenance.
+intersect them.  Recombination overlaps, by quadrature, the closed-form z
+factors of the two branches (kicked by -+v_z while the beams stay separated,
+unkicked after a perfect reversal), with an injectable relative phase error
+modeling imperfect phase maintenance.
 The "significantly greater" split condition is operationalized by the peak
 detector; the dimensionless kick strength kappa = mu_b*B'*dt*sigma/hbar is
 reported alongside so users can calibrate.
@@ -19,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.signal import find_peaks, peak_widths
 
-from .analytic import dispersion_factor
+from .analytic import dispersion_factor, evolve_packet
 from .classical import Histogram
 from .core import (
     Apparatus,
@@ -185,17 +186,6 @@ class RecombinationResult:
         }
 
 
-def _branch_gaussian(z: np.ndarray, center: float, velocity: float,
-                     sigma: float, f: complex, units: UnitSystem) -> np.ndarray:
-    dz = z - center
-    return (
-        (math.pi * sigma * sigma) ** -0.25
-        * f ** -0.5
-        * np.exp(-dz * dz / (2.0 * sigma * sigma * f)
-                 + 1j * units.mass * velocity * dz / units.hbar)
-    )
-
-
 def recombine(
     packet: GaussianPacket,
     stage1: Apparatus,
@@ -228,27 +218,20 @@ def recombine(
         y0 = packet.source_y(stage1)
         t_eval = packet.t_prime + (stage2.y_d - y0) / timing1.v
         # A perfect reversal rejoins the branches: both end at the common
-        # centroid with zero relative velocity, so only phase_error can
-        # degrade the overlap.
-        centers = {b: 0.0 for b in Branch}
-        velocities = {b: 0.0 for b in Branch}
+        # centroid with zero relative velocity (no net kick), so only
+        # phase_error can degrade the overlap.
+        s_p, s_m = 0, 0
     else:
         t_eval = detection_time(stage1, packet, units)
-        centers = {
-            b: b.deflection_sign * v_z1 * (t_eval - timing1.t_bar) for b in Branch
-        }
-        velocities = {b: b.deflection_sign * v_z1 for b in Branch}
+        s_p, s_m = Branch.PLUS.deflection_sign, Branch.MINUS.deflection_sign
 
-    f = dispersion_factor(t_eval - packet.t_prime, packet.sigma, units)
-    width = packet.sigma * abs(f)
-    separation = abs(centers[Branch.PLUS] - centers[Branch.MINUS])
-    half = 0.5 * separation + 12.0 * width
-    mid = 0.5 * (centers[Branch.PLUS] + centers[Branch.MINUS])
+    field = evolve_packet(packet, stage1, t_eval, units)
+    c_p, c_m = field.kicked_center(s_p), field.kicked_center(s_m)
+    separation = abs(c_p - c_m)
+    half = 0.5 * separation + 12.0 * field.width
+    mid = 0.5 * (c_p + c_m)
     z = np.linspace(mid - half, mid + half, 16385)
-    g_p = _branch_gaussian(z, centers[Branch.PLUS], velocities[Branch.PLUS],
-                           packet.sigma, f, units)
-    g_m = _branch_gaussian(z, centers[Branch.MINUS], velocities[Branch.MINUS],
-                           packet.sigma, f, units)
+    g_p, g_m = field.z_factor(s_p, z), field.z_factor(s_m, z)
     cross = complex(np.trapezoid(np.conj(g_p) * g_m, z))
     term = (
         np.exp(1j * phase_error)

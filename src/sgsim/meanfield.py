@@ -2,9 +2,10 @@
 
 Forcing psi = phi(t, x) * chi(t) and coupling space and spin only through the
 averages <mu> and <B> turns the two-humped entangled solution into one
-Gaussian centered at z = (<mu_z>/mu_b) * v_z * (t - tbar).  Averaged over an
-isotropic spin ensemble this recreates the flat classical distribution,
-smoothed by the packet width.
+Gaussian centered at z = (<mu_z>/mu_b) * v_z * (t - tbar): the closed form's
+z factor (``SpinorField.z_factor``) with the kick scaled by <mu_z>/mu_b.
+Averaged over an isotropic spin ensemble this recreates the flat classical
+distribution, smoothed by the packet width.
 
 <mu_z> is frozen at its initial value (to lowest order in B the spin part is
 constant); no self-consistent iteration is performed.  The width convention
@@ -16,22 +17,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 from scipy.special import erf
 
-from .analytic import dispersion_factor
+from .analytic import SpinorField, evolve_packet
 from .classical import Histogram, chunked_samples
-from .core import (
-    Apparatus,
-    DEFAULT_UNITS,
-    GaussianPacket,
-    Timing,
-    UnitSystem,
-    derive_timing,
-)
-from .errors import DomainError, InvalidParameterError
+from .core import Apparatus, DEFAULT_UNITS, GaussianPacket, UnitSystem
+from .errors import InvalidParameterError
 
 
 def spin_moment_average(
@@ -47,81 +40,39 @@ def spin_moment_average(
 
 @dataclass(frozen=True)
 class MeanFieldState:
-    """Single-Gaussian field for a fixed spin orientation at time t >= t_c.
+    """Single-Gaussian field for a fixed spin orientation at time t >= t_c:
+    the closed form's z factor with the kick scaled by <mu_z>/mu_b.
 
     Callable: ``state(x, y, z)`` returns the complex amplitude phi.
     """
 
     mu_z_avg: float
-    packet: GaussianPacket
-    apparatus: Apparatus
-    timing: Timing
-    units: UnitSystem
-    t: float
+    field: SpinorField
 
     def __post_init__(self) -> None:
-        if abs(self.mu_z_avg) > self.units.mu_b * (1.0 + 1e-12):
+        mu_b = self.field.units.mu_b
+        if abs(self.mu_z_avg) > mu_b * (1.0 + 1e-12):
             raise InvalidParameterError(
-                f"|<mu_z>| = {abs(self.mu_z_avg)} exceeds mu_b = {self.units.mu_b}"
+                f"|<mu_z>| = {abs(self.mu_z_avg)} exceeds mu_b = {mu_b}"
             )
-
-    @property
-    def tau(self) -> float:
-        return self.t - self.packet.t_prime
-
-    @cached_property
-    def f(self) -> complex:
-        return dispersion_factor(self.tau, self.packet.sigma, self.units)
-
-    @cached_property
-    def f_bar(self) -> complex:
-        return dispersion_factor(
-            self.timing.t_bar - self.packet.t_prime, self.packet.sigma, self.units
-        )
 
     @property
     def center_z(self) -> float:
         """(<mu_z>/mu_b) * v_z * (t - tbar)."""
-        return (
-            self.mu_z_avg / self.units.mu_b
-            * self.timing.v_z
-            * (self.t - self.timing.t_bar)
-        )
-
-    @property
-    def width(self) -> float:
-        return self.packet.sigma * abs(self.f)
+        return self.field.kicked_center(self.mu_z_avg / self.field.units.mu_b)
 
     def __call__(self, x, y, z):
         """Complex amplitude phi(t, x, y, z) of the disentangled spatial part."""
-        sigma, k_y = self.packet.sigma, self.packet.k_y
-        hbar, m = self.units.hbar, self.units.mass
-        s2f = sigma * sigma * self.f
-        dy = np.asarray(y) - self.packet.source_y(self.apparatus)
-        r2 = np.asarray(x) ** 2 + dy * dy + np.asarray(z) ** 2
-        g = self.mu_z_avg / self.units.mu_b
-        drift = self.t - self.timing.t_bar
-        v_z = self.timing.v_z
-        phase_z = (
-            1j * g * m * v_z * self.f_bar * np.asarray(z) / (hbar * self.f)
-            # constant companion term; its real part keeps the state normalized
-            - 1j * g * g * m * v_z * v_z * drift * drift
-            / (2.0 * hbar * self.tau * self.f)
-        )
+        fld = self.field
         return (
-            (math.pi * sigma * sigma) ** -0.75
-            * self.f ** -1.5
-            * np.exp(
-                -r2 / (2.0 * s2f)
-                + 1j * k_y * dy / self.f
-                + phase_z
-                - 1j * hbar * k_y * k_y * self.tau / (2.0 * m * self.f)
-            )
+            fld.x_factor(x)
+            * fld.y_factor(y)
+            * fld.z_factor(self.mu_z_avg / fld.units.mu_b, z)
         )
 
     def z_density(self, z):
         """Unimodal z marginal: a Gaussian of sd width/sqrt(2) at center_z."""
-        w = self.width
+        w = self.field.width
         dz = np.asarray(z) - self.center_z
         return np.exp(-dz * dz / (w * w)) / (math.sqrt(math.pi) * w)
 
@@ -131,12 +82,13 @@ class MeanFieldState:
         Exact for the factorized Gaussian: the z moment times the y-mass
         inside the interaction region.
         """
-        w = self.width
-        y_ctr = self.packet.source_y(self.apparatus) + self.timing.v * self.tau
+        fld = self.field
+        w = fld.width
+        y_ctr = fld.packet.source_y(fld.apparatus) + fld.timing.v * fld.tau
         mass_in_region = 0.5 * (
-            erf((self.apparatus.y_c - y_ctr) / w) - erf((self.apparatus.y_b - y_ctr) / w)
+            erf((fld.apparatus.y_c - y_ctr) / w) - erf((fld.apparatus.y_b - y_ctr) / w)
         )
-        return self.apparatus.grad_Bz * self.center_z * float(mass_in_region)
+        return fld.apparatus.grad_Bz * self.center_z * float(mass_in_region)
 
 
 def meanfield_evolve(
@@ -149,18 +101,9 @@ def meanfield_evolve(
     """Mean-field Gaussian for polar spin angle beta, <mu_z> = -mu_b*cos(beta)."""
     if not math.isfinite(beta):
         raise InvalidParameterError(f"beta must be finite, got {beta}")
-    timing = derive_timing(apparatus, packet, units)
-    if t < timing.t_c:
-        raise DomainError(
-            f"mean-field closed form is valid only for t >= t_c = {timing.t_c}"
-        )
     return MeanFieldState(
         mu_z_avg=-units.mu_b * math.cos(beta),
-        packet=packet,
-        apparatus=apparatus,
-        timing=timing,
-        units=units,
-        t=t,
+        field=evolve_packet(packet, apparatus, t, units),
     )
 
 
@@ -180,12 +123,10 @@ def meanfield_ensemble(
     """
     if n < 1:
         raise InvalidParameterError(f"ensemble size must be >= 1, got {n}")
-    timing = derive_timing(apparatus, packet, units)
-    if t < timing.t_c:
-        raise DomainError(f"detector time must be >= t_c = {timing.t_c}")
+    fld = evolve_packet(packet, apparatus, t, units)
+    timing = fld.timing
     span = abs(timing.v_z) * (t - timing.t_bar)
-    f = dispersion_factor(t - packet.t_prime, packet.sigma, units)
-    sd = packet.sigma * abs(f) / math.sqrt(2.0)
+    sd = fld.width / math.sqrt(2.0)
 
     def sampler(rng, size):
         centers = -rng.uniform(-1.0, 1.0, size) * timing.v_z * (t - timing.t_bar)

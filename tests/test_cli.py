@@ -267,6 +267,14 @@ def test_sandwich_layers_flag(tmp_path):
     assert report["peak_count"] == 1 and report["kappas"] == [0.1]
 
 
+def test_sandwich_bins_flag_below_16(tmp_path):
+    # the peak detector runs on the grid density, so any bins >= 2 is honoured
+    code, out = run_cli(["sandwich", "--bins", "10"], tmp_path, "s")
+    assert code == 0
+    rows = (out / "histogram.csv").read_text().splitlines()[1:]
+    assert len(rows) == 10
+
+
 def test_meanfield_artifacts(tmp_path):
     code, out = run_cli(["meanfield", "--n", "20000", "--t", "3.0"], tmp_path, "m")
     assert code == 0

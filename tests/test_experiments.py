@@ -16,6 +16,7 @@ from sgsim import (
     backtrack_collapse,
     derive_timing,
     detect_bimodality,
+    dispersion_factor,
     kick_velocity,
     layer_kappa,
     recombine,
@@ -151,6 +152,21 @@ def test_separated_beams_half_probability(default_apparatus, default_packet):
     res = recombine(default_packet, default_apparatus, None)
     assert res.fidelity == pytest.approx(0.5, abs=1e-3)
     assert res.separation > 0.0
+
+
+@pytest.mark.parametrize("grad", [1.0, 5.0, 10.0, 20.0])
+def test_separated_overlap_matches_closed_form(default_packet, grad):
+    # Free flight preserves the branch overlap, so it is the overlap of the
+    # two oppositely kicked packets at the kick:
+    # exp(-(m * v_z * sigma * |f(tbar - t')| / hbar)^2).
+    app = Apparatus(0.0, 5.0, 6.0, 26.0, grad)
+    timing = derive_timing(app, default_packet)
+    sigma = default_packet.sigma
+    f_bar = dispersion_factor(timing.t_bar - default_packet.t_prime, sigma)
+    expected = math.exp(-(timing.v_z * sigma * abs(f_bar)) ** 2)  # hbar = m = 1
+    assert recombine(default_packet, app, None).overlap == pytest.approx(
+        expected, rel=1e-12
+    )
 
 
 def test_fidelity_monotone_in_phase_error(default_apparatus, default_packet):

@@ -8,10 +8,12 @@ from scipy.stats import chi2
 
 from sgsim import (
     Apparatus,
+    Branch,
     DomainError,
     GaussianPacket,
     derive_timing,
     dispersion_factor,
+    evolve_packet,
     meanfield_ensemble,
     meanfield_ensemble_density,
     meanfield_evolve,
@@ -51,6 +53,23 @@ def test_meanfield_center(default_apparatus, default_packet, beta, cos_beta):
     assert state.center_z == pytest.approx(expected, abs=1e-12)
 
 
+@pytest.mark.parametrize("t", [0.6, 3.0, 20.0])
+@pytest.mark.parametrize("beta,branch", [(0.0, Branch.PLUS), (math.pi, Branch.MINUS)])
+def test_pure_spin_meanfield_is_entangled_branch(
+    default_apparatus, default_packet, t, beta, branch
+):
+    # at a pure spin state the scaled kick is the branch's own kick
+    state = meanfield_evolve(beta, default_packet, default_apparatus, t)
+    fld = evolve_packet(default_packet, default_apparatus, t)
+    w, c = fld.width, fld.branch_center(branch)
+    y0 = default_packet.source_y(default_apparatus) + fld.timing.v * fld.tau
+    x = np.linspace(-3 * w, 3 * w, 7)[:, None, None]
+    y = np.linspace(y0 - 3 * w, y0 + 3 * w, 7)[None, :, None]
+    z = np.linspace(c - 6 * w, c + 6 * w, 401)[None, None, :]
+    expected = fld.x_factor(x) * fld.y_factor(y) * fld.z_marginal_amplitude(branch, z)
+    assert np.array_equal(state(x, y, z), expected)
+
+
 def test_meanfield_unimodal_over_beta_grid(default_apparatus, default_packet):
     z = np.linspace(-60, 60, 4001)
     for beta in np.linspace(0.0, math.pi, 21):
@@ -65,7 +84,7 @@ def test_meanfield_density_is_normalized_gaussian(default_apparatus, default_pac
     total, _ = quad(lambda z: state.z_density(z), -200, 200, limit=200)
     assert total == pytest.approx(1.0, abs=1e-9)
     # width convention: density sd is sigma|f|/sqrt(2)
-    sd = state.width / math.sqrt(2.0)
+    sd = state.field.width / math.sqrt(2.0)
     var, _ = quad(
         lambda z: (z - state.center_z) ** 2 * state.z_density(z), -200, 200, limit=200
     )
@@ -82,8 +101,9 @@ def test_field_average_matches_grid_quadrature(default_apparatus, default_packet
     # brute-force trapezoid over the amplitude returned by the state itself
     t = derive_timing(default_apparatus, default_packet).t_c  # packet half-in
     state = meanfield_evolve(math.pi / 4, default_packet, default_apparatus, t)
-    w = state.width
-    y_ctr = default_packet.source_y(default_apparatus) + state.timing.v * state.tau
+    fld = state.field
+    w = fld.width
+    y_ctr = default_packet.source_y(default_apparatus) + fld.timing.v * fld.tau
     x = np.linspace(-6 * w, 6 * w, 121)
     # the step profile restricts the y integral to [y_b, y_c] exactly
     y = np.linspace(default_apparatus.y_b, default_apparatus.y_c, 801)
