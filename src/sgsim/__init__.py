@@ -31,7 +31,7 @@ from .analytic import (
     sg_kernel,
     z_action,
 )
-from .density import DensityMatrixZ, coherence_norm, density_matrix_z, density_sweep
+from .density import coherence_norm, density_sweep
 from .meanfield import (
     MeanFieldState,
     meanfield_ensemble,
@@ -80,7 +80,6 @@ __all__ = [
     "CollapseReport",
     "ConfigError",
     "DEFAULT_UNITS",
-    "DensityMatrixZ",
     "DomainError",
     "ExtentError",
     "GaussianPacket",
@@ -106,7 +105,6 @@ __all__ = [
     "coherence_norm",
     "compare_analytic_oracle",
     "deflection",
-    "density_matrix_z",
     "density_sweep",
     "derive_timing",
     "detect_bimodality",

@@ -15,6 +15,7 @@ of every probability and relative phase.
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 from functools import cached_property
@@ -231,6 +232,28 @@ class SpinorField:
             -z * z / (2.0 * sigma * sigma * self.f)
             + s * 1j * m * v_z * self.f_bar * z / (hbar * self.f)
             - s * s * 1j * m * v_z * v_z * drift * drift / (2.0 * hbar * self.tau * self.f)
+        )
+
+    def overlap(self, s1: float, s2: float) -> complex:
+        """<z_factor(s1)|z_factor(s2)> in closed form.
+
+        Write the z_factor exponent as -a*z^2 + s*b*z + s^2*c.  The Gaussian
+        integral is |N|^2 * sqrt(pi/A) * exp(B^2/(4A) + C) with A = 2*Re(a)
+        = 1/width^2, B = s1*conj(b) + s2*b and C = s1^2*conj(c) + s2^2*c.
+        The factor has unit norm for every s, so the prefactor is 1 and
+        q = b^2/(4A) + c has Re(q) = -|b|^2/(4A); the exponent is then
+        -(s1 - s2)^2 * |b|^2/(4A) + i*(s2^2 - s1^2)*Im(q), which keeps the
+        large terms of B^2/(4A) and C from cancelling in floating point.
+        """
+        hbar, m = self.units.hbar, self.units.mass
+        v_z = self.timing.v_z
+        drift = self.t - self.timing.t_bar
+        b = 1j * m * v_z * self.f_bar / (hbar * self.f)
+        c = -1j * m * v_z * v_z * drift * drift / (2.0 * hbar * self.tau * self.f)
+        quarter_w2 = self.width ** 2 / 4.0
+        q = b * b * quarter_w2 + c
+        return cmath.exp(
+            -(s1 - s2) ** 2 * abs(b) ** 2 * quarter_w2 + 1j * (s2 * s2 - s1 * s1) * q.imag
         )
 
     def z_marginal_amplitude(self, branch: Branch, z):

@@ -6,8 +6,9 @@ Command-line flags override file values.  All numeric output uses 17
 significant digits, and every artifact is written atomically (temp file +
 rename), so identical config + seed gives byte-identical outputs.
 
-Exit codes: 0 success, 2 parse error, 3 validation error, 4 numeric/domain
-failure.  Failures also emit a machine-readable JSON error record on stderr.
+Exit codes: 0 success, 2 parse or usage error, 3 validation error,
+4 numeric/domain failure.  Failures also emit a machine-readable JSON error
+record on stderr.
 """
 
 from __future__ import annotations
@@ -360,13 +361,12 @@ def _run_density(cfg: RunConfig, out: str) -> str:
     half = abs(fld.branch_center(Branch.PLUS)) + 6.0 * fld.width
     z_values = np.linspace(-half, half, 1001)
     rows = []
-    for variant in ("collapse_free", "collapsed"):
-        for mat in density.density_sweep(fld, z_values, variant):
-            rows.append((
-                mat.z, mat.entries[0, 0].real, mat.entries[1, 1].real,
-                mat.entries[0, 1].real, mat.entries[0, 1].imag,
-                1.0 if variant == "collapse_free" else 0.0,
-            ))
+    for variant, flag in (("collapse_free", 1.0), ("collapsed", 0.0)):
+        rho = density.density_sweep(fld, z_values, variant)
+        rows.extend(zip(
+            z_values, rho[:, 0, 0].real, rho[:, 1, 1].real,
+            rho[:, 0, 1].real, rho[:, 0, 1].imag, np.full_like(z_values, flag),
+        ))
     write_atomic(
         os.path.join(out, "density_sweep.csv"),
         _csv_text(["z", "rho_pp", "rho_mm", "re_rho_pm", "im_rho_pm",
@@ -499,8 +499,16 @@ def _fail(exc: SgSimError) -> int:
 # argument parsing
 
 
+class _Parser(argparse.ArgumentParser):
+    """Reports a usage error as a ConfigError, so it gets the JSON record and
+    exit 2 like any other bad flag; subparsers inherit the class."""
+
+    def error(self, message: str):
+        raise ConfigError(f"{self.prog}: {message}")
+
+
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="sgsim",
         description="Collapse-free Stern-Gerlach simulations",
     )
@@ -532,9 +540,8 @@ def _config_from_args(args: argparse.Namespace) -> RunConfig:
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = _build_parser().parse_args(argv)
     try:
-        cfg = _config_from_args(args)
+        cfg = _config_from_args(_build_parser().parse_args(argv))
     except SgSimError as exc:
         return _fail(exc)
     return run(cfg)

@@ -1,15 +1,16 @@
 """z-resolved collapsed and collapse-free density matrices and coherence.
 
 The z marginals come from the exact x/y factorization of the closed-form
-field, so no quadrature is needed to build the matrices.  The coherence
-measure is the integrated magnitude of the off-diagonal entry (an L1 norm):
-simple, monotone in branch separation, and equal to |chi_+ chi_-| when the
-branches overlap completely.
+field, and the branch factors are Gaussians of one width, so neither the
+matrices nor the coherence need quadrature.  The coherence measure is the
+integrated magnitude of the off-diagonal entry (an L1 norm): simple,
+monotone in branch separation, and equal to |chi_+ chi_-| when the branches
+overlap completely.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import math
 from typing import Literal
 
 import numpy as np
@@ -21,70 +22,34 @@ from .errors import InvalidParameterError
 Variant = Literal["collapsed", "collapse_free"]
 
 
-@dataclass(frozen=True)
-class DensityMatrixZ:
-    """2x2 spin density matrix at a single z, collapsed or collapse-free."""
+def coherence_norm(field: SpinorField) -> float:
+    """Integrated off-diagonal magnitude: int dz |h_+^*(z) h_-(z)| * |chi_+ chi_-|.
 
-    z: float
-    entries: np.ndarray
-    variant: Variant
-
-    def __post_init__(self) -> None:
-        entries = np.asarray(self.entries, dtype=complex)
-        object.__setattr__(self, "entries", entries)
-        if entries.shape != (2, 2):
-            raise InvalidParameterError("density matrix must be 2x2")
-
-    @property
-    def trace(self) -> float:
-        return float(np.real(np.trace(self.entries)))
+    |h_+| and |h_-| are Gaussians of the same amplitude width w whose centers
+    are d apart, so the integral is exp(-d^2 / (4 w^2)).
+    """
+    d = field.branch_center(Branch.PLUS) - field.branch_center(Branch.MINUS)
+    weight = abs(field.packet.chi_plus) * abs(field.packet.chi_minus)
+    return weight * math.exp(-d * d / (4.0 * field.width ** 2))
 
 
-def density_matrix_z(field: SpinorField, z: float, variant: Variant) -> DensityMatrixZ:
-    """Density matrix at z from the branch z-marginal amplitudes.
+def density_sweep(field: SpinorField, z_values: np.ndarray, variant: Variant) -> np.ndarray:
+    """Spin density matrices at each z in z_values, as an (N, 2, 2) array.
 
     collapse_free keeps the phi_+^* phi_- chi_+^* chi_- off-diagonal term;
-    collapsed zeroes it while keeping the identical diagonal.
+    collapsed zeroes it while keeping the identical diagonal, whose trace is
+    field.z_marginal_density(z).
     """
     if variant not in ("collapsed", "collapse_free"):
         raise InvalidParameterError(f"unknown variant {variant!r}")
-    hp = complex(field.z_marginal_amplitude(Branch.PLUS, z))
-    hm = complex(field.z_marginal_amplitude(Branch.MINUS, z))
+    z = np.asarray(z_values, float)
+    hp = field.z_marginal_amplitude(Branch.PLUS, z)
+    hm = field.z_marginal_amplitude(Branch.MINUS, z)
     cp, cm = field.packet.chi_plus, field.packet.chi_minus
-    pp = abs(hp) ** 2 * abs(cp) ** 2
-    mm = abs(hm) ** 2 * abs(cm) ** 2
+    rho = np.zeros((len(z), 2, 2), dtype=complex)
+    rho[:, 0, 0] = np.abs(hp) ** 2 * abs(cp) ** 2
+    rho[:, 1, 1] = np.abs(hm) ** 2 * abs(cm) ** 2
     if variant == "collapse_free":
-        pm = np.conj(hp) * hm * np.conj(cp) * cm
-    else:
-        pm = 0.0
-    entries = np.array([[pp, pm], [np.conj(pm), mm]], dtype=complex)
-    return DensityMatrixZ(z=float(z), entries=entries, variant=variant)
-
-
-def _coherence_grid(field: SpinorField, points: int) -> np.ndarray:
-    centers = [field.branch_center(b) for b in (Branch.PLUS, Branch.MINUS)]
-    half_span = 0.5 * abs(centers[0] - centers[1]) + 10.0 * field.width
-    mid = 0.5 * (centers[0] + centers[1])
-    return np.linspace(mid - half_span, mid + half_span, points)
-
-
-def coherence_norm(field: SpinorField, points: int = 8193) -> float:
-    """Integrated off-diagonal magnitude: int dz |h_+^*(z) h_-(z)| * |chi_+ chi_-|.
-
-    Computed by trapezoid quadrature on a grid wide enough to hold both
-    branch humps with 10-width margins.
-    """
-    weight = abs(field.packet.chi_plus) * abs(field.packet.chi_minus)
-    if weight == 0.0:
-        return 0.0
-    z = _coherence_grid(field, points)
-    integrand = np.abs(
-        np.conj(field.z_marginal_amplitude(Branch.PLUS, z))
-        * field.z_marginal_amplitude(Branch.MINUS, z)
-    )
-    return weight * float(np.trapezoid(integrand, z))
-
-
-def density_sweep(field: SpinorField, z_values: np.ndarray, variant: Variant) -> list[DensityMatrixZ]:
-    """Density matrices at each z in z_values."""
-    return [density_matrix_z(field, z, variant) for z in np.asarray(z_values, float)]
+        rho[:, 0, 1] = np.conj(hp) * hm * np.conj(cp) * cm
+        rho[:, 1, 0] = np.conj(rho[:, 0, 1])
+    return rho

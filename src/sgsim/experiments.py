@@ -3,7 +3,7 @@ multilayer beam splitting, and bimodality detection.
 
 The collapse point is found exactly as an experimenter would: fit straight
 lines to the branch centroids at several post-interaction stations and
-intersect them.  Recombination overlaps, by quadrature, the closed-form z
+intersect them.  Recombination takes the closed-form overlap of the z
 factors of the two branches (kicked by -+v_z while the beams stay separated,
 unkicked after a perfect reversal), with an injectable relative phase error
 modeling imperfect phase maintenance.
@@ -226,13 +226,8 @@ def recombine(
         s_p, s_m = Branch.PLUS.deflection_sign, Branch.MINUS.deflection_sign
 
     field = evolve_packet(packet, stage1, t_eval, units)
-    c_p, c_m = field.kicked_center(s_p), field.kicked_center(s_m)
-    separation = abs(c_p - c_m)
-    half = 0.5 * separation + 12.0 * field.width
-    mid = 0.5 * (c_p + c_m)
-    z = np.linspace(mid - half, mid + half, 16385)
-    g_p, g_m = field.z_factor(s_p, z), field.z_factor(s_m, z)
-    cross = complex(np.trapezoid(np.conj(g_p) * g_m, z))
+    separation = abs(field.kicked_center(s_p) - field.kicked_center(s_m))
+    cross = field.overlap(s_p, s_m)
     term = (
         np.exp(1j * phase_error)
         * np.conj(packet.chi_plus) * packet.chi_minus

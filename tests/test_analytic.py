@@ -236,3 +236,38 @@ def test_z_marginal_normalized(t):
     z = np.linspace(-reach, reach, 20_001)
     total = np.trapezoid(field.z_marginal_density(z), z)
     assert total == pytest.approx(1.0, abs=1e-7)
+
+
+def _overlap_by_quadrature(field, s1, s2):
+    """Trapezoid of conj(z_factor(s1)) * z_factor(s2) with 12-width margins."""
+    c1, c2 = field.kicked_center(s1), field.kicked_center(s2)
+    half = 0.5 * abs(c1 - c2) + 12.0 * field.width
+    mid = 0.5 * (c1 + c2)
+    z = np.linspace(mid - half, mid + half, 16385)
+    integrand = np.conj(field.z_factor(s1, z)) * field.z_factor(s2, z)
+    return complex(np.trapezoid(integrand, z))
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    grad=st.floats(min_value=0.01, max_value=20.0),
+    t=st.floats(min_value=0.6, max_value=30.0),
+    s1=st.floats(min_value=-1.0, max_value=1.0),
+    s2=st.floats(min_value=-1.0, max_value=1.0),
+)
+def test_overlap_matches_quadrature(grad, t, s1, s2):
+    from sgsim import Apparatus
+
+    field = evolve_packet(GaussianPacket(), Apparatus(0.0, 5.0, 6.0, 26.0, grad), t)
+    exact = field.overlap(s1, s2)
+    assert abs(exact) <= 1.0 + 1e-15
+    if abs(exact) > 1e-8:
+        reference = _overlap_by_quadrature(field, s1, s2)
+        assert abs(exact - reference) <= 1e-12 * abs(exact)
+
+
+@pytest.mark.parametrize("s", [0.0, 0.3, -1.0, 1.0])
+def test_overlap_of_factor_with_itself_is_one(default_apparatus, default_packet, s):
+    # exactly, so a perfect reversal reports an overlap of 1
+    field = evolve_packet(default_packet, default_apparatus, 3.0)
+    assert field.overlap(s, s) == 1.0

@@ -1,7 +1,10 @@
+import io
 import json
 import math
 import os
 import re
+from contextlib import redirect_stderr, redirect_stdout
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -321,10 +324,12 @@ def test_exit_code_numeric_error(tmp_path, capsys):
     assert record["error"] == "DomainError"
 
 
-def test_argparse_rejects_unknown_subcommand():
-    with pytest.raises(SystemExit) as exc:
-        main(["warp-drive"])
-    assert exc.value.code == 2
+def test_argparse_rejects_unknown_subcommand(capsys):
+    # usage errors get the same exit code and JSON record as a bad config
+    for argv in (["warp-drive"], ["recombine", "--grad", "1"], [], ["density", "--t"]):
+        assert main(argv) == 2, argv
+        (line,) = capsys.readouterr().err.splitlines()
+        assert json.loads(line)["error"] == "ConfigError"
 
 
 def test_flags_override_config_file(tmp_path):
@@ -445,7 +450,48 @@ def test_flags_per_subcommand(capsys):
         "sandwich": {"--layers"},
     }
     for name in EXPERIMENTS:
-        with pytest.raises(SystemExit):
+        with pytest.raises(SystemExit) as exc:
             main([name, "--help"])
+        assert exc.value.code == 0
         flags = set(re.findall(r"--[\w-]+", capsys.readouterr().out))
         assert flags == {"--help"} | common | extra.get(name, set()), name
+
+
+_FLAGS = sorted({row.flag.split(" ")[0] for row in cli._KEYS if row.flag})
+_VALUE_FLAGS = sorted({row.flag.split(" ")[0] for row in cli._KEYS if row.flag and " " in row.flag})
+_UNKNOWN_FLAGS = ["--grad", "--bogus", "-x", "--n-points"]
+_VALUES = st.one_of(
+    st.sampled_from(["", " ", "nan", "inf", "-inf", "1e400", "-1e400", "abc", "0",
+                     "-1", "true", "5:x:1", "5:6:inf", "1:2:3;4:5:6"]),
+    st.integers(min_value=-10**30, max_value=10**30).map(str),
+    st.floats().map(repr),
+)
+_ARGS = st.one_of(
+    st.tuples(st.sampled_from(_VALUE_FLAGS), _VALUES).map(list),
+    st.sampled_from(_FLAGS).map(lambda flag: [flag]),  # a switch, or a missing value
+    st.tuples(st.sampled_from(_UNKNOWN_FLAGS), _VALUES).map(list),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    command=st.lists(st.sampled_from(EXPERIMENTS + ("warp-drive",)), max_size=1),
+    args=st.lists(_ARGS, max_size=5),
+)
+def test_main_never_raises_on_any_argv(command, args):
+    argv = command + [token for group in args for token in group]
+    configs = []
+    err = io.StringIO()
+    with mock.patch.object(cli, "run", lambda cfg: configs.append(cfg) or 0), \
+            redirect_stderr(err), redirect_stdout(io.StringIO()):
+        code = main(argv)
+    lines = err.getvalue().splitlines()
+    assert code in (0, 2, 3), argv
+    if code == 0:
+        assert len(configs) == 1 and lines == [], argv
+    else:
+        assert configs == [], argv
+        (line,) = lines
+        record = json.loads(line)
+        assert set(record) == {"error", "message"}
+        assert record["error"] == ("ConfigError" if code == 2 else "InvalidParameterError")

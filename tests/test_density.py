@@ -8,10 +8,10 @@ from scipy.optimize import brentq
 
 from sgsim import (
     Apparatus,
+    Branch,
     GaussianPacket,
     InvalidParameterError,
     coherence_norm,
-    density_matrix_z,
     density_sweep,
     derive_timing,
     dispersion_factor,
@@ -45,42 +45,54 @@ def test_trace_identity_many_z():
     field = _field()
     z_values = np.linspace(-60, 60, 1000)
     for z in z_values:
-        free = density_matrix_z(field, z, "collapse_free")
-        collapsed = density_matrix_z(field, z, "collapsed")
-        assert free.trace == collapsed.trace  # identical diagonals by construction
+        free = density_sweep(field, [z], "collapse_free")[0]
+        collapsed = density_sweep(field, [z], "collapsed")[0]
+        # identical diagonals by construction
+        assert np.trace(free).real == np.trace(collapsed).real
+
+
+@pytest.mark.parametrize("t", [0.6, 3.0, 20.0])
+def test_sweep_trace_is_z_marginal_density(t):
+    field = _field(chi=_spinor(1.1, 2.3), t=t)
+    z = np.linspace(-80.0, 80.0, 1001)
+    for variant in ("collapse_free", "collapsed"):
+        rho = density_sweep(field, z, variant)
+        assert rho.shape == (1001, 2, 2)
+        assert np.array_equal(
+            np.trace(rho, axis1=1, axis2=2).real, field.z_marginal_density(z)
+        )
 
 
 def test_collapsed_has_zero_offdiagonal():
     field = _field()
-    mat = density_matrix_z(field, 5.0, "collapsed")
-    assert mat.entries[0, 1] == 0.0 and mat.entries[1, 0] == 0.0
+    mat = density_sweep(field, [5.0], "collapsed")[0]
+    assert mat[0, 1] == 0.0 and mat[1, 0] == 0.0
 
 
 @settings(max_examples=40, deadline=None)
 @given(chi=spinors, z=st.floats(min_value=-30.0, max_value=30.0))
 def test_collapse_free_matrix_properties(chi, z):
     field = _field(chi=chi)
-    mat = density_matrix_z(field, z, "collapse_free")
-    e = mat.entries
+    e = density_sweep(field, [z], "collapse_free")[0]
     # Hermitian, positive semidefinite (pure state: rank <= 1), Cauchy-Schwarz
     assert e[1, 0] == np.conj(e[0, 1])
     eigs = np.linalg.eigvalsh(e)
     assert eigs.min() >= -1e-10
     assert abs(e[0, 1]) <= math.sqrt(e[0, 0].real * e[1, 1].real) + 1e-15
     # pure state: determinant vanishes
-    assert abs(np.linalg.det(e)) <= 1e-12 * max(mat.trace**2, 1e-30)
+    assert abs(np.linalg.det(e)) <= 1e-12 * max(np.trace(e).real ** 2, 1e-30)
 
 
 def test_variant_validation():
     field = _field()
     with pytest.raises(InvalidParameterError):
-        density_matrix_z(field, 0.0, "partial")
+        density_sweep(field, [0.0], "partial")
 
 
 def test_density_sweep_shapes():
     field = _field()
     mats = density_sweep(field, np.linspace(-5, 5, 11), "collapse_free")
-    assert len(mats) == 11 and all(m.entries.shape == (2, 2) for m in mats)
+    assert len(mats) == 11 and mats.shape == (11, 2, 2)
 
 
 def _time_at_separation(app, pkt, s: float) -> float:
@@ -105,7 +117,7 @@ def test_coherence_matches_gaussian_overlap():
         t = _time_at_separation(app, pkt, s)
         c = coherence_norm(evolve_packet(pkt, app, t))
         values.append(c)
-        assert c == pytest.approx(weight * math.exp(-s * s), rel=1e-6)
+        assert c == pytest.approx(weight * math.exp(-s * s), rel=1e-6, abs=0.0)
     assert all(a > b for a, b in zip(values, values[1:]))
     assert values[-1] < 1e-3
 
@@ -122,6 +134,34 @@ def test_coherence_impulsive_limit_full():
 def test_coherence_zero_for_polarized_spin():
     field = _field(chi=(1.0, 0.0))
     assert coherence_norm(field) == 0.0
+
+
+def _coherence_by_quadrature(field):
+    """Trapezoid of |h_+ h_-| |chi_+ chi_-| over both humps with 10-width margins."""
+    centers = [field.branch_center(b) for b in (Branch.PLUS, Branch.MINUS)]
+    half_span = 0.5 * abs(centers[0] - centers[1]) + 10.0 * field.width
+    mid = 0.5 * (centers[0] + centers[1])
+    z = np.linspace(mid - half_span, mid + half_span, 8193)
+    integrand = np.abs(
+        field.z_marginal_amplitude(Branch.PLUS, z)
+        * field.z_marginal_amplitude(Branch.MINUS, z)
+    )
+    weight = abs(field.packet.chi_plus) * abs(field.packet.chi_minus)
+    return weight * float(np.trapezoid(integrand, z))
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    chi=spinors,
+    grad=st.floats(min_value=0.01, max_value=20.0),
+    t=st.floats(min_value=0.6, max_value=30.0),
+)
+def test_coherence_matches_quadrature(chi, grad, t):
+    app = Apparatus(0.0, 5.0, 6.0, 26.0, grad)
+    field = evolve_packet(GaussianPacket().with_spin(*chi), app, t)
+    assert coherence_norm(field) == pytest.approx(
+        _coherence_by_quadrature(field), rel=1e-12, abs=0.0
+    )
 
 
 @settings(max_examples=25, deadline=None)

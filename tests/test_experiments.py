@@ -154,7 +154,7 @@ def test_separated_beams_half_probability(default_apparatus, default_packet):
     assert res.separation > 0.0
 
 
-@pytest.mark.parametrize("grad", [1.0, 5.0, 10.0, 20.0])
+@pytest.mark.parametrize("grad", [1.0, 5.0, 10.0, 20.0, 100.0])
 def test_separated_overlap_matches_closed_form(default_packet, grad):
     # Free flight preserves the branch overlap, so it is the overlap of the
     # two oppositely kicked packets at the kick:
@@ -165,7 +165,7 @@ def test_separated_overlap_matches_closed_form(default_packet, grad):
     f_bar = dispersion_factor(timing.t_bar - default_packet.t_prime, sigma)
     expected = math.exp(-(timing.v_z * sigma * abs(f_bar)) ** 2)  # hbar = m = 1
     assert recombine(default_packet, app, None).overlap == pytest.approx(
-        expected, rel=1e-12
+        expected, rel=1e-12, abs=0.0
     )
 
 
