@@ -508,13 +508,16 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _build_parser() -> argparse.ArgumentParser:
+    # allow_abbrev=False: a prefix of a flag (--gr, --se) is an error, not
+    # silently the flag it abbreviates
     parser = _Parser(
         prog="sgsim",
         description="Collapse-free Stern-Gerlach simulations",
+        allow_abbrev=False,
     )
     sub = parser.add_subparsers(dest="experiment", required=True)
     for name in EXPERIMENTS:
-        p = sub.add_parser(name)
+        p = sub.add_parser(name, allow_abbrev=False)
         p.add_argument("--config", metavar="PATH", default=None)
         for row in _KEYS:
             if row.flag is None or name not in row.commands:

@@ -18,7 +18,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.signal import find_peaks, peak_widths
 
 from .analytic import dispersion_factor, evolve_packet
 from .classical import Histogram
@@ -47,6 +46,66 @@ _NOMINAL_COUNTS = 1_000_000  # scale for converting grid probability mass to cou
 # bimodality detection
 
 
+def _local_maxima(x: np.ndarray) -> np.ndarray:
+    """Indices of the local maxima of x: the middle (rounded down) of every
+    plateau whose neighbours on both sides are strictly lower.  The two ends
+    never count."""
+    starts = np.flatnonzero(np.r_[True, x[1:] != x[:-1]])
+    ends = np.r_[starts[1:] - 1, x.size - 1]
+    v = x[starts]
+    inner = (v[1:-1] > v[:-2]) & (v[1:-1] > v[2:])
+    return (starts[1:-1][inner] + ends[1:-1][inner]) // 2
+
+
+def _valley_walk(heights: list[float], valleys: list[float]) -> np.ndarray:
+    """For each peak k, the lowest valley passed walking back from it until a
+    strictly higher peak: min(valleys[m + 1 .. k]), where valleys[k] is the
+    lowest point before peak k and m is the nearest earlier peak strictly
+    higher than heights[k] (or -1).  One monotonic-stack pass; peaks of equal
+    height are walked through."""
+    out = np.empty(len(heights))
+    stack: list[tuple[float, float]] = []  # (height, min valley it covers)
+    for k, (h, low) in enumerate(zip(heights, valleys)):
+        while stack and stack[-1][0] <= h:
+            low = min(low, stack.pop()[1])
+        stack.append((h, low))
+        out[k] = low
+    return out
+
+
+def _prominences(x: np.ndarray, peaks: np.ndarray) -> np.ndarray:
+    """Prominence of each local maximum of x: its height minus the higher of
+    the lowest points reached walking left and right from it, each walk
+    ending at the array's end or where the signal rises above the peak.
+
+    Between two neighbouring local maxima the signal falls and then rises, so
+    each walk's lowest point is the smallest valley minimum it crosses.
+    """
+    valleys = np.minimum.reduceat(x, np.r_[0, peaks]).tolist()
+    heights = x[peaks].tolist()
+    left = _valley_walk(heights, valleys[:-1])
+    right = _valley_walk(heights[::-1], valleys[:0:-1])[::-1]
+    return x[peaks] - np.maximum(left, right)
+
+
+def _half_width(x: np.ndarray, peak: int, prominence: float) -> float:
+    """Width in samples of the peak at half its prominence, each side
+    interpolated linearly between the last sample above that height and the
+    first at or under it.  The half-prominence height is never below the
+    lowest point of either prominence walk, so those samples lie within the
+    walks."""
+    height = x[peak] - prominence * 0.5
+    i = int(np.flatnonzero(x[: peak + 1] <= height)[-1])
+    left_ip = float(i)
+    if x[i] < height:
+        left_ip += (height - x[i]) / (x[i + 1] - x[i])
+    i = peak + int(np.flatnonzero(x[peak:] <= height)[0])
+    right_ip = float(i)
+    if x[i] < height:
+        right_ip -= (height - x[i]) / (x[i - 1] - x[i])
+    return right_ip - left_ip
+
+
 @dataclass(frozen=True)
 class BimodalityReport:
     peak_count: int
@@ -72,6 +131,8 @@ def detect_bimodality(
         raise InvalidParameterError(
             f"need at least 16 bins to detect bimodality, got {values.size}"
         )
+    if not np.isfinite(values).all():
+        raise InvalidParameterError("profile values must be finite")
     if coordinates is None:
         coordinates = np.arange(values.size, dtype=float)
     else:
@@ -82,16 +143,19 @@ def detect_bimodality(
     peak_level = float(smooth.max())
     if peak_level <= 0:
         raise InvalidParameterError("profile has no positive mass")
-    idx, props = find_peaks(smooth, prominence=prominence_frac * peak_level)
+    maxima = _local_maxima(smooth)
+    prominences = _prominences(smooth, maxima)
+    keep = prominence_frac * peak_level <= prominences
+    idx, prominences = maxima[keep], prominences[keep]
     positions = tuple(float(coordinates[i]) for i in idx)
     if idx.size < 2:
         return BimodalityReport(int(idx.size), positions, 0.0)
-    order = np.argsort(props["prominences"])[::-1][:2]
+    order = np.argsort(prominences)[::-1][:2]
     top = np.sort(idx[order])
     taller = top[np.argmax(smooth[top])]
-    widths, _, _, _ = peak_widths(smooth, np.array([taller]), rel_height=0.5)
+    width = _half_width(smooth, taller, prominences[np.searchsorted(idx, taller)])
     dx = float(np.mean(np.diff(coordinates)))
-    fwhm = float(widths[0]) * dx
+    fwhm = width * dx
     separation = abs(float(coordinates[top[1]] - coordinates[top[0]]))
     score = separation / fwhm if fwhm > 0 else math.inf
     return BimodalityReport(int(idx.size), positions, score)

@@ -19,12 +19,13 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import erf
 
 from .analytic import SpinorField, evolve_packet
 from .classical import Histogram, chunked_samples
 from .core import Apparatus, DEFAULT_UNITS, GaussianPacket, UnitSystem
 from .errors import InvalidParameterError
+
+_erf = np.frompyfunc(math.erf, 1, 1)  # elementwise math.erf
 
 
 def spin_moment_average(
@@ -86,9 +87,10 @@ class MeanFieldState:
         w = fld.width
         y_ctr = fld.packet.source_y(fld.apparatus) + fld.timing.v * fld.tau
         mass_in_region = 0.5 * (
-            erf((fld.apparatus.y_c - y_ctr) / w) - erf((fld.apparatus.y_b - y_ctr) / w)
+            math.erf((fld.apparatus.y_c - y_ctr) / w)
+            - math.erf((fld.apparatus.y_b - y_ctr) / w)
         )
-        return fld.apparatus.grad_Bz * self.center_z * float(mass_in_region)
+        return fld.apparatus.grad_Bz * self.center_z * mass_in_region
 
 
 def meanfield_evolve(
@@ -153,4 +155,5 @@ def meanfield_ensemble_density(z, span: float, sd: float):
         return np.exp(-z * z / (2.0 * sd * sd)) / (math.sqrt(2.0 * math.pi) * sd)
     a = (z + span) / (sd * math.sqrt(2.0))
     b = (z - span) / (sd * math.sqrt(2.0))
-    return (erf(a) - erf(b)) / (4.0 * span)
+    # _erf gives Python floats (a bare one for 0-d input); back to a float array
+    return np.asarray(_erf(a) - _erf(b), dtype=float) / (4.0 * span)

@@ -207,6 +207,13 @@ def propagate(
                 f"state needs wavenumbers up to {k_reach:.4g} but the grid holds "
                 f"{math.pi / grid.dz:.4g}; refine the grid"
             )
+    # Every FFT and array temporary of the loop below is freshly allocated.
+    # glibc maps a block above its mmap threshold (128 KiB at start) and
+    # unmaps it on free, so each step would fault all its pages in again.
+    # Freeing one block larger than the state raises that threshold to the
+    # block's size, and the steps reuse heap memory.  The block stays under
+    # 32 MiB, glibc's cap: a larger one would leave the threshold where it is.
+    np.empty(min(16 * psi_p.nbytes, 16 << 20), dtype=np.uint8)
     for t0, t1, grad in schedule:
         n = n_field_steps if grad != 0.0 else _FREE_STEPS
         psi_p, psi_m = _strang(psi_p, psi_m, grid, grad, (t1 - t0) / n, n, units)

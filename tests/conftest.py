@@ -1,6 +1,11 @@
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
+import sgsim
 from sgsim import Apparatus, GaussianPacket
 
 
@@ -24,3 +29,20 @@ def default_packet() -> GaussianPacket:
 @pytest.fixture
 def rng() -> np.random.Generator:
     return np.random.default_rng(1234)
+
+
+@pytest.fixture
+def fresh_python():
+    """Run Python source in a new interpreter that imports this sgsim; return
+    its stdout."""
+    src = os.path.dirname(os.path.dirname(sgsim.__file__))
+    path = [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(path))
+
+    def run(source: str) -> str:
+        return subprocess.run(
+            [sys.executable, "-c", source], env=env, capture_output=True, text=True,
+            check=True,
+        ).stdout
+
+    return run

@@ -466,10 +466,13 @@ _VALUES = st.one_of(
     st.integers(min_value=-10**30, max_value=10**30).map(str),
     st.floats().map(repr),
 )
+# Strict prefixes of the real flags: "--se" may not stand for --seed.
+_PREFIXES = sorted({flag[:n] for flag in _FLAGS for n in range(3, len(flag))})
 _ARGS = st.one_of(
     st.tuples(st.sampled_from(_VALUE_FLAGS), _VALUES).map(list),
     st.sampled_from(_FLAGS).map(lambda flag: [flag]),  # a switch, or a missing value
     st.tuples(st.sampled_from(_UNKNOWN_FLAGS), _VALUES).map(list),
+    st.tuples(st.sampled_from(_PREFIXES), _VALUES).map(list),
 )
 
 
@@ -489,9 +492,30 @@ def test_main_never_raises_on_any_argv(command, args):
     assert code in (0, 2, 3), argv
     if code == 0:
         assert len(configs) == 1 and lines == [], argv
+        # only flags spelled in full are accepted
+        assert all(t in _FLAGS for t in argv if t.startswith("--")), argv
     else:
         assert configs == [], argv
         (line,) = lines
         record = json.loads(line)
         assert set(record) == {"error", "message"}
         assert record["error"] == ("ConfigError" if code == 2 else "InvalidParameterError")
+
+
+@pytest.mark.parametrize("argv", [["evolve", "--gr", "8192"], ["evolve", "--se", "7"]])
+def test_abbreviated_flag_rejected(argv, tmp_path, capsys):
+    assert main(argv + ["--out", str(tmp_path / "a")]) == 2
+    (line,) = capsys.readouterr().err.splitlines()
+    record = json.loads(line)
+    assert record["error"] == "ConfigError" and argv[1] in record["message"]
+    assert not (tmp_path / "a").exists()
+
+
+def test_runtime_imports_no_scipy(fresh_python):
+    # scipy is a test dependency only: its import would cost every CLI run
+    # about 1.5 s
+    out = fresh_python(
+        "import sys, sgsim, sgsim.cli; "
+        "print(sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')))"
+    )
+    assert out.strip() == "[]"

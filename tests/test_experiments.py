@@ -2,13 +2,17 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
+from scipy.signal import find_peaks, peak_prominences, peak_widths
 
 from sgsim import (
     Apparatus,
+    BimodalityReport,
     DomainError,
     ExtentError,
     GaussianPacket,
     GeometryError,
+    Grid1D,
     InvalidParameterError,
     Layer,
     LayerStack,
@@ -22,6 +26,7 @@ from sgsim import (
     recombine,
     sandwich,
 )
+from sgsim.experiments import _half_width, _local_maxima, _prominences
 
 
 # ---------------------------------------------------------------------------
@@ -62,6 +67,97 @@ def test_bimodality_input_validation():
         detect_bimodality(np.zeros(32))
     with pytest.raises(InvalidParameterError):
         detect_bimodality(np.ones(32), np.ones(16))
+    for bad in (math.nan, math.inf):
+        with pytest.raises(InvalidParameterError, match="finite"):
+            detect_bimodality(np.r_[np.ones(31), bad])
+
+
+# The numpy peak finder against scipy.signal, the reference it replaces.
+
+
+def _scipy_bimodality(values, coordinates, prominence_frac=0.05):
+    """detect_bimodality written on scipy.signal.find_peaks and peak_widths."""
+    smooth = np.convolve(values, np.ones(3) / 3.0, mode="same")
+    idx, props = find_peaks(smooth, prominence=prominence_frac * float(smooth.max()))
+    positions = tuple(float(coordinates[i]) for i in idx)
+    if idx.size < 2:
+        return BimodalityReport(int(idx.size), positions, 0.0)
+    order = np.argsort(props["prominences"])[::-1][:2]
+    top = np.sort(idx[order])
+    taller = top[np.argmax(smooth[top])]
+    widths, _, _, _ = peak_widths(smooth, np.array([taller]), rel_height=0.5)
+    fwhm = float(widths[0]) * float(np.mean(np.diff(coordinates)))
+    separation = abs(float(coordinates[top[1]] - coordinates[top[0]]))
+    return BimodalityReport(
+        int(idx.size), positions, separation / fwhm if fwhm > 0 else math.inf
+    )
+
+
+def _assert_peaks_match_scipy(x, coordinates):
+    peaks, _ = find_peaks(x)
+    assert np.array_equal(_local_maxima(x), peaks)
+    prominences = peak_prominences(x, peaks)[0]
+    assert np.array_equal(_prominences(x, peaks), prominences)
+    widths = peak_widths(x, peaks, rel_height=0.5)[0]
+    ours = [_half_width(x, int(p), q) for p, q in zip(peaks, prominences)]
+    assert np.array_equal(np.array(ours, dtype=float), widths)
+    if np.convolve(x, np.ones(3) / 3.0, mode="same").max() > 0:
+        assert detect_bimodality(x, coordinates) == _scipy_bimodality(x, coordinates)
+
+
+def _mixture(seed: int) -> np.ndarray:
+    """Two Gaussians on 16 to 4096 points over a noise tail of 1e-31 to 1e-3
+    of the peak; half of them rounded, which turns the tails into plateaus."""
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(16, 4097))
+    z = np.linspace(-10.0, 10.0, n)
+    x = sum(
+        rng.uniform(0.2, 1.0) * np.exp(-(((z - rng.uniform(-6, 6)) / rng.uniform(0.3, 3)) ** 2))
+        for _ in range(2)
+    )
+    x = x + 10.0 ** rng.uniform(-31, -3) * rng.random(n)
+    if rng.random() < 0.5:
+        x = np.round(x, int(rng.integers(1, 16)))
+    return x
+
+
+_PROFILES = st.one_of(
+    st.lists(st.integers(0, 4), min_size=16, max_size=300),  # plateaus and ties
+    st.lists(st.floats(-1e3, 1e3), min_size=16, max_size=300),
+    st.integers(0, 2**32 - 1).map(_mixture),
+).map(lambda v: np.asarray(v, dtype=float))
+
+
+# scipy warns about a zero width, which a subnormal peak has (half of 5e-324
+# rounds to 0); the numpy finder must then give 0 too
+@pytest.mark.filterwarnings("ignore:some peaks have a width of 0")
+@settings(max_examples=300, deadline=None)
+@given(profile=_PROFILES, pad=st.tuples(st.integers(0, 20), st.integers(0, 20)))
+@example(profile=np.r_[np.zeros(14), 5e-324, 0.0], pad=(0, 0))
+def test_peak_finder_matches_scipy(profile, pad):
+    # flat ends: the profile's end values repeated on either side
+    x = np.r_[np.full(pad[0], profile[0]), profile, np.full(pad[1], profile[-1])]
+    _assert_peaks_match_scipy(x, np.arange(x.size, dtype=float))
+
+
+@pytest.mark.parametrize(
+    "sigma, grad, t_final, n_points",
+    [(1.0, 100.0, 5.6, None), (1.0, 1.0, 5.6, None), (2.0, 4.0, 50.0, 16384),
+     (2.0, 8.0, 50.0, 16384)],
+)
+def test_peak_finder_matches_scipy_on_sandwich_densities(sigma, grad, t_final, n_points):
+    # the 16384-point far-field densities carry hundreds of maxima in their tails
+    pkt = GaussianPacket(sigma=sigma)
+    grid = None
+    if n_points is not None:
+        f = dispersion_factor(t_final, sigma)
+        half = 1.25 * (0.1 * grad * (t_final - 0.55) + 8 * sigma * abs(f)) + sigma
+        grid = Grid1D(-half, half, n_points)
+    res = sandwich(pkt, LayerStack((Layer(5.0, 6.0, grad),)), t_final, grid=grid)
+    density = res.state.density()
+    coordinates = res.state.grid.points
+    _assert_peaks_match_scipy(density, coordinates)
+    _assert_peaks_match_scipy(np.convolve(density, np.ones(3) / 3.0, mode="same"), coordinates)
 
 
 # ---------------------------------------------------------------------------

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.integrate import quad
+from scipy.special import erf
 from scipy.stats import chi2
 
 from sgsim import (
@@ -174,3 +175,48 @@ def test_convolution_density_normalized(span, sd):
     z = np.linspace(-(span + 12 * sd), span + 12 * sd, 20_001)
     total = np.trapezoid(meanfield_ensemble_density(z, span, sd), z)
     assert total == pytest.approx(1.0, abs=1e-5)
+
+
+def _scipy_ensemble_density(z, span, sd):
+    """meanfield_ensemble_density's erf form, on scipy.special.erf."""
+    a = (z + span) / (sd * math.sqrt(2.0))
+    b = (z - span) / (sd * math.sqrt(2.0))
+    return (erf(a) - erf(b)) / (4.0 * span)
+
+
+@settings(max_examples=50, deadline=None)
+@given(span=st.floats(1e-6, 1e3), sd=st.floats(1e-2, 1e2), seed=st.integers(0, 2**32 - 1))
+def test_ensemble_density_erf_matches_scipy(span, sd, seed):
+    z = np.random.default_rng(seed).uniform(-(span + 10 * sd), span + 10 * sd, 200)
+    ours = meanfield_ensemble_density(z, span, sd)
+    ref = _scipy_ensemble_density(z, span, sd)
+    # each erf agrees to 4.3e-16 relative: the difference to 1e-15 of erf's
+    # unit scale everywhere, and relatively wherever it does not cancel
+    np.testing.assert_allclose(ours * 4.0 * span, ref * 4.0 * span, rtol=0, atol=1e-15)
+    inside = np.abs(z) <= span
+    np.testing.assert_allclose(ours[inside], ref[inside], rtol=1e-15, atol=0)
+
+
+def test_ensemble_density_erf_scalar_inputs():
+    span, sd = 3.0, 0.7
+    ref = float(_scipy_ensemble_density(0.5, span, sd))
+    for z in (0.5, np.float64(0.5), np.array(0.5)):
+        value = meanfield_ensemble_density(z, span, sd)
+        assert isinstance(value, np.float64)
+        assert value == pytest.approx(ref, rel=1e-15, abs=0.0)
+    assert meanfield_ensemble_density(np.array([0.5]), span, sd).dtype == np.float64
+
+
+@pytest.mark.parametrize("delay", [0.0, 0.01, 0.05])
+def test_field_average_erf_matches_scipy(default_apparatus, default_packet, delay):
+    # from half the packet in the region (erf(0) = 0) to its tail leaving
+    t = derive_timing(default_apparatus, default_packet).t_c + delay
+    state = meanfield_evolve(math.pi / 4, default_packet, default_apparatus, t)
+    fld = state.field
+    y_ctr = default_packet.source_y(default_apparatus) + fld.timing.v * fld.tau
+    mass = 0.5 * (
+        erf((default_apparatus.y_c - y_ctr) / fld.width)
+        - erf((default_apparatus.y_b - y_ctr) / fld.width)
+    )
+    ref = default_apparatus.grad_Bz * state.center_z * float(mass)
+    assert state.field_average_Bz() == pytest.approx(ref, rel=1e-15, abs=0.0)
