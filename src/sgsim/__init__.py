@@ -27,9 +27,6 @@ from .analytic import (
     SpinorField,
     dispersion_factor,
     evolve_packet,
-    free_kernel,
-    sg_kernel,
-    z_action,
 )
 from .density import coherence_norm, density_sweep
 from .meanfield import (
@@ -111,7 +108,6 @@ __all__ = [
     "detection_time",
     "dispersion_factor",
     "evolve_packet",
-    "free_kernel",
     "kick_velocity",
     "layer_kappa",
     "meanfield_ensemble",
@@ -121,8 +117,6 @@ __all__ = [
     "propagate_packet",
     "recombine",
     "sandwich",
-    "sg_kernel",
     "spin_moment_average",
     "suggest_grid",
-    "z_action",
 ]

@@ -1,16 +1,24 @@
-"""Closed-form spin-dependent kernel and the entangled spinor Gaussian it produces.
+"""Closed-form evolution of the spinor Gaussian through any field schedule.
 
-Valid for evaluation times at or after the packet leaves the interaction
-region; terms of order dt (transit time) and second order in the field are
-dropped, exactly as in the impulsive-kick derivation.  In-region states are
-the grid propagator's job (see :mod:`sgsim.oracle`).
+Each spin component sees a potential linear in z, V = -s*mu_b*B'(t)*z with
+s = -1 for the plus (spin-up) branch and +1 for the minus branch, so its
+exact solution is the free Gaussian, shifted and phase-kicked (Avron &
+Herbst, Commun. Math. Phys. 52, 239 (1977)):
+
+    psi_s(z, t) = chi_s * exp(i*s*(p*z - s*S)/hbar) * phi_free(z - s*q, t),
+
+with the kick integrals p = int mu_b*B' dt, q = int p/m dt and
+S = int p^2/(2m) dt taken from emission to t.  On each segment of a field
+schedule p is linear, q quadratic and S cubic in time, so the form holds
+at every time, inside a field region or after it; the grid propagator
+(:mod:`sgsim.oracle`) is its independent check.
 
 Phase conventions: all complex square roots take the principal branch.  The
-dispersion factor f(s) = 1 + i*hbar*s/(m*sigma^2) has unit real part for
-s >= 0, so the principal branch is continuous along the whole time sweep.
-The branch-independent phase -i*m*v_z^2*(t-tbar)*(tbar-t')/(2*hbar*(t-t'))
-is omitted from the kernel; it is common to both spin branches and drops out
-of every probability and relative phase.
+dispersion factor f(tau) = 1 + i*hbar*tau/(m*sigma^2) has unit real part
+for tau >= 0, so the principal branch is continuous along the whole time
+sweep.
+Every phase is kept, S included, so the z factors equal the grid's
+amplitudes without any phase alignment.
 """
 
 from __future__ import annotations
@@ -30,6 +38,7 @@ from .core import (
     Timing,
     UnitSystem,
     derive_timing,
+    field_schedule,
 )
 from .errors import DomainError, InvalidParameterError
 
@@ -39,127 +48,69 @@ def dispersion_factor(tau: float, sigma: float, units: UnitSystem = DEFAULT_UNIT
     return 1.0 + 1j * units.hbar * tau / (units.mass * sigma * sigma)
 
 
-@dataclass(frozen=True)
-class ZKernelParams:
-    """Arguments of the z-kernel: endpoint times, interaction midpoint, kick."""
-
-    t: float
-    t_prime: float
-    t_bar: float
-    v_z: float
-    branch: Branch
-
-    def __post_init__(self) -> None:
-        if not self.t > self.t_prime:
-            raise DomainError(
-                f"kernel needs t > t', got t = {self.t}, t' = {self.t_prime}"
-            )
-        if not (self.t_prime <= self.t_bar <= self.t):
-            raise DomainError(
-                f"interaction midpoint t_bar = {self.t_bar} outside [t', t]"
-            )
-
-
-@dataclass(frozen=True)
-class ZAction:
-    """Value of the z part of the action along the three-segment path."""
-
-    value: float
-    branch: Branch | None
-
-
-def z_action(
-    z: float,
-    z_c: float,
-    z_b: float,
-    z_prime: float,
+def kick_integrals(
+    schedule: list[tuple[float, float, float]],
     t: float,
-    t_c: float,
-    t_b: float,
-    t_prime: float,
-    mu_z: float,
-    grad_Bz: float,
     units: UnitSystem = DEFAULT_UNITS,
-) -> ZAction:
-    """Three-segment z action with the linear-in-field coupling term.
+) -> tuple[float, float, float]:
+    """Kick integrals (p, q, S) at time t of the s = +1 branch driven through
+    the (t0, t1, grad) segments of ``schedule`` from its start:
+    p = int mu_b*B' dt, q = int p/m dt and S = int p^2/(2m) dt.
 
-    S = (m/2)[(z-z_c)^2/(t-t_c) + (z_c-z_b)^2/(t_c-t_b) + (z_b-z')^2/(t_b-t')]
-        + mu_z * dBz/dz * (t_c - t_b) * (z_c + z_b)/2,
-    with the (mu_z * dBz/dz)^2 term dropped.
+    On a segment of constant force F = mu_b*grad, a time u after its start,
+    p gains F*u, q gains (p0*u + F*u^2/2)/m and S gains
+    (p0^2*u + p0*F*u^2 + F^2*u^3/3)/(2m), with p0 the momentum at its start.
     """
-    if not (t > t_c > t_b > t_prime):
+    if not schedule[0][0] <= t <= schedule[-1][1]:
         raise DomainError(
-            f"times must satisfy t > t_c > t_b > t', got {(t, t_c, t_b, t_prime)}"
+            f"t = {t} lies outside the schedule [{schedule[0][0]}, {schedule[-1][1]}]"
         )
     m = units.mass
-    free = (
-        0.5 * m * (z - z_c) ** 2 / (t - t_c)
-        + 0.5 * m * (z_c - z_b) ** 2 / (t_c - t_b)
-        + 0.5 * m * (z_b - z_prime) ** 2 / (t_b - t_prime)
-    )
-    coupling = mu_z * grad_Bz * (t_c - t_b) * 0.5 * (z_c + z_b)
-    if mu_z < 0:
-        branch = Branch.PLUS
-    elif mu_z > 0:
-        branch = Branch.MINUS
-    else:
-        branch = None
-    return ZAction(value=free + coupling, branch=branch)
+    p = q = action = 0.0
+    for t0, t1, grad in schedule:
+        u = min(t1, t) - t0
+        if u <= 0.0:
+            break
+        force = units.mu_b * grad
+        action += u * (p * p + p * force * u + force * force * u * u / 3.0) / (2.0 * m)
+        q += (p * u + 0.5 * force * u * u) / m
+        p += force * u
+    return p, q, action
 
 
-def free_kernel(
-    t: float | complex,
+def kicked_factor(
+    packet: GaussianPacket,
+    kicks: tuple[float, float, float],
+    t: float,
+    s: float,
     z,
-    t_prime: float | complex,
-    z_prime,
     units: UnitSystem = DEFAULT_UNITS,
 ):
-    """1-D free-particle kernel sqrt(m/(2*pi*i*hbar*dt)) * exp(i*m*(z-z')^2/(2*hbar*dt)).
+    """Unit-norm z factor of the packet at time t, kicked by s times the
+    kick integrals (p, q, S): exp(i*s*(p*z - s*S)/hbar) * phi_free(z - s*q, t).
 
-    Accepts complex times (used by quadrature oracles that damp the
-    oscillatory tails); the principal square root is taken.
+    s = -+1 gives the spin branches; the mean-field state scales the kick by
+    s = <mu_z>/mu_b.
     """
-    dt = t - t_prime
-    if dt == 0:
-        raise DomainError("free kernel is a delta function at t = t'")
-    m, hbar = units.mass, units.hbar
-    prefactor = (m / (2j * math.pi * hbar * dt)) ** 0.5
-    dz = np.asarray(z) - np.asarray(z_prime)
-    return prefactor * np.exp(1j * m * dz * dz / (2.0 * hbar * dt))
-
-
-def sg_kernel(
-    params: ZKernelParams,
-    z,
-    z_prime,
-    units: UnitSystem = DEFAULT_UNITS,
-):
-    """Spin-branch z kernel: free kernel times the split-kick phase.
-
-    K_branch = K_free * exp(s*i*(m*v_z/hbar) * [z*(tbar-t') + z'*(t-tbar)] / (t-t'))
-    with s = -1 for the plus branch and +1 for the minus branch, so part of
-    the momentum kick acts at entry and the rest at exit of the region.
-    """
-    tau = params.t - params.t_prime
-    s = params.branch.deflection_sign
-    m, hbar = units.mass, units.hbar
-    phase = (
-        s * 1j * m * params.v_z
-        * (np.asarray(z) * (params.t_bar - params.t_prime)
-           + np.asarray(z_prime) * (params.t - params.t_bar))
-        / (hbar * tau)
+    p, q, action = kicks
+    sigma = packet.sigma
+    f = dispersion_factor(t - packet.t_prime, sigma, units)
+    z = np.asarray(z)
+    dz = z - s * q
+    return (math.pi * sigma * sigma) ** -0.25 * f ** -0.5 * np.exp(
+        -dz * dz / (2.0 * sigma * sigma * f) + 1j * s * (p * z - s * action) / units.hbar
     )
-    return free_kernel(params.t, z, params.t_prime, z_prime, units) * np.exp(phase)
 
 
 @dataclass(frozen=True)
 class SpinorField:
-    """Entangled two-branch Gaussian at a fixed post-interaction time.
+    """Entangled two-branch Gaussian at time t.
 
     The closed form factorizes into x, y, and z pieces; each 1-D factor is
-    unit-normalized, which makes marginals exact without quadrature.  The
-    field is a lazy evaluator: call the factor methods at arbitrary points
-    or sample a grid explicitly.
+    unit-normalized, which makes marginals exact without quadrature.
+    ``kicks`` are the kick integrals (p, q, S) of the apparatus's field
+    schedule at t.  The field is a lazy evaluator: call the factor methods
+    at arbitrary points or sample a grid explicitly.
     """
 
     packet: GaussianPacket
@@ -167,6 +118,7 @@ class SpinorField:
     timing: Timing
     units: UnitSystem
     t: float
+    kicks: tuple[float, float, float]
 
     @property
     def tau(self) -> float:
@@ -176,24 +128,18 @@ class SpinorField:
     def f(self) -> complex:
         return dispersion_factor(self.tau, self.packet.sigma, self.units)
 
-    @cached_property
-    def f_bar(self) -> complex:
-        """Dispersion factor at the interaction midpoint, f(tbar - t')."""
-        return dispersion_factor(
-            self.timing.t_bar - self.packet.t_prime, self.packet.sigma, self.units
-        )
-
     @property
     def width(self) -> float:
         """Gaussian amplitude width sigma*|f|; the density sd is width/sqrt(2)."""
         return self.packet.sigma * abs(self.f)
 
     def kicked_center(self, s: float) -> float:
-        """Center s * v_z * (t - tbar) of the z factor kicked by s * v_z."""
-        return s * self.timing.v_z * (self.t - self.timing.t_bar)
+        """Center s*q of the z factor kicked by s; -+v_z*(t - tbar) once the
+        packet has left the field."""
+        return s * self.kicks[1]
 
     def branch_center(self, branch: Branch) -> float:
-        """Center of the branch's z marginal: -+ v_z * (t - tbar)."""
+        """Center of the branch's z marginal."""
         return self.kicked_center(branch.deflection_sign)
 
     def _norm_1d(self) -> complex:
@@ -217,43 +163,25 @@ class SpinorField:
         )
 
     def z_factor(self, s: float, z):
-        """Unit-norm z factor kicked by s * v_z, centered at kicked_center(s).
-
-        s = -+1 gives the spin branches; the mean-field state scales the kick
-        by s = <mu_z>/mu_b.  The s*s term is the constant companion of the
-        kick; its real part keeps the factor normalized.
-        """
-        sigma = self.packet.sigma
-        hbar, m = self.units.hbar, self.units.mass
-        v_z = self.timing.v_z
-        z = np.asarray(z)
-        drift = self.t - self.timing.t_bar
-        return self._norm_1d() * np.exp(
-            -z * z / (2.0 * sigma * sigma * self.f)
-            + s * 1j * m * v_z * self.f_bar * z / (hbar * self.f)
-            - s * s * 1j * m * v_z * v_z * drift * drift / (2.0 * hbar * self.tau * self.f)
-        )
+        """Unit-norm z factor kicked by s, centered at kicked_center(s)."""
+        return kicked_factor(self.packet, self.kicks, self.t, s, z, self.units)
 
     def overlap(self, s1: float, s2: float) -> complex:
         """<z_factor(s1)|z_factor(s2)> in closed form.
 
-        Write the z_factor exponent as -a*z^2 + s*b*z + s^2*c.  The Gaussian
-        integral is |N|^2 * sqrt(pi/A) * exp(B^2/(4A) + C) with A = 2*Re(a)
-        = 1/width^2, B = s1*conj(b) + s2*b and C = s1^2*conj(c) + s2^2*c.
-        The factor has unit norm for every s, so the prefactor is 1 and
-        q = b^2/(4A) + c has Re(q) = -|b|^2/(4A); the exponent is then
-        -(s1 - s2)^2 * |b|^2/(4A) + i*(s2^2 - s1^2)*Im(q), which keeps the
-        large terms of B^2/(4A) and C from cancelling in floating point.
+        Shifting z by the mean center (s1 + s2)*q/2 leaves the overlap of
+        two free Gaussians d = (s2 - s1)*q apart with relative wavenumber
+        k = (s2 - s1)*p/hbar, which is real:
+        exp(-d^2/(4*w^2) - (k*w - Im(f)*d/w)^2/4) for the width w.  The
+        shift contributes the phase (s2^2 - s1^2)*(p*q/2 - S)/hbar.
         """
-        hbar, m = self.units.hbar, self.units.mass
-        v_z = self.timing.v_z
-        drift = self.t - self.timing.t_bar
-        b = 1j * m * v_z * self.f_bar / (hbar * self.f)
-        c = -1j * m * v_z * v_z * drift * drift / (2.0 * hbar * self.tau * self.f)
-        quarter_w2 = self.width ** 2 / 4.0
-        q = b * b * quarter_w2 + c
+        p, q, action = self.kicks
+        hbar, w = self.units.hbar, self.width
+        ds = s2 - s1
+        d, k = ds * q, ds * p / hbar
         return cmath.exp(
-            -(s1 - s2) ** 2 * abs(b) ** 2 * quarter_w2 + 1j * (s2 * s2 - s1 * s1) * q.imag
+            -d * d / (4.0 * w * w) - (k * w - self.f.imag * d / w) ** 2 / 4.0
+            + 1j * (s2 * s2 - s1 * s1) * (0.5 * p * q - action) / hbar
         )
 
     def z_marginal_amplitude(self, branch: Branch, z):
@@ -291,13 +219,15 @@ def evolve_packet(
     t: float,
     units: UnitSystem = DEFAULT_UNITS,
 ) -> SpinorField:
-    """Closed-form entangled field at a post-interaction time t >= t_c."""
+    """Closed-form entangled field at any time t after emission, with the
+    field on between t_b and t_c."""
     if not math.isfinite(t):
         raise InvalidParameterError(f"evaluation time must be finite, got {t}")
     timing = derive_timing(apparatus, packet, units)
-    if t < timing.t_c:
-        raise DomainError(
-            f"closed form is valid only for t >= t_c = {timing.t_c}; use the "
-            "grid propagator (sgsim.oracle) for in-region times"
-        )
-    return SpinorField(packet=packet, apparatus=apparatus, timing=timing, units=units, t=t)
+    schedule = field_schedule(
+        packet.t_prime, t, [(timing.t_b, timing.t_c, apparatus.grad_Bz)]
+    )
+    return SpinorField(
+        packet=packet, apparatus=apparatus, timing=timing, units=units, t=t,
+        kicks=kick_integrals(schedule, t, units),
+    )

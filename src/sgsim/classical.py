@@ -14,7 +14,6 @@ from __future__ import annotations
 import json
 import math
 import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -169,6 +168,10 @@ def chunked_samples(n: int, seed: int, sampler) -> np.ndarray:
     if workers == 1:
         parts = [sampler(rng, size) for rng, size in jobs]
     else:
+        # imported here: concurrent.futures pulls in logging, which every
+        # process would otherwise pay for at import
+        from concurrent.futures import ThreadPoolExecutor
+
         with ThreadPoolExecutor(max_workers=workers) as pool:
             parts = list(pool.map(lambda job: sampler(*job), jobs))
     return np.concatenate(parts)

@@ -1,4 +1,5 @@
-"""Unit conventions, apparatus geometry, initial packet, and derived kinematics.
+"""Unit conventions, apparatus geometry, initial packet, derived kinematics,
+and the field schedule of a flight through field windows.
 
 Everything downstream works in the dimensionless defaults hbar = m = mu_b = 1;
 physical values can be supplied through :class:`UnitSystem`.
@@ -215,3 +216,26 @@ def detection_time(
     """Arrival time of the packet center at the detector plane y_d."""
     timing = derive_timing(apparatus, packet, units)
     return packet.t_prime + (apparatus.y_d - packet.source_y(apparatus)) / timing.v
+
+
+def field_schedule(
+    t_start: float,
+    t_final: float,
+    fields: list[tuple[float, float, float]],
+) -> list[tuple[float, float, float]]:
+    """Cut [t_start, t_final] at every edge of the non-overlapping
+    (t_on, t_off, grad_Bz) windows in ``fields``.
+
+    Returns the (t0, t1, grad) segments in time order; each carries the
+    gradient of the window holding its midpoint, 0 outside every window.
+    """
+    if not t_final > t_start:
+        raise DomainError(f"t_final must exceed the start time {t_start}, got {t_final}")
+    edges = {t for t_on, t_off, _ in fields for t in (t_on, t_off)}
+    cuts = sorted({t_start, t_final} | {max(t_start, min(t, t_final)) for t in edges})
+    schedule = []
+    for t0, t1 in zip(cuts[:-1], cuts[1:]):
+        mid = 0.5 * (t0 + t1)
+        grad = next((g for t_on, t_off, g in fields if t_on <= mid < t_off), 0.0)
+        schedule.append((t0, t1, grad))
+    return schedule

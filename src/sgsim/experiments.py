@@ -7,6 +7,8 @@ intersect them.  Recombination takes the closed-form overlap of the z
 factors of the two branches (kicked by -+v_z while the beams stay separated,
 unkicked after a perfect reversal), with an injectable relative phase error
 modeling imperfect phase maintenance.
+The multilayer sandwich samples the exact closed form of each branch on its
+field schedule (:mod:`sgsim.analytic`) at the points of a grid.
 The "significantly greater" split condition is operationalized by the peak
 detector; the dimensionless kick strength kappa = mu_b*B'*dt*sigma/hbar is
 reported alongside so users can calibrate.
@@ -15,11 +17,12 @@ reported alongside so users can calibrate.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
 
-from .analytic import dispersion_factor, evolve_packet
+from .analytic import dispersion_factor, evolve_packet, kick_integrals, kicked_factor
 from .classical import Histogram
 from .core import (
     Apparatus,
@@ -29,6 +32,7 @@ from .core import (
     UnitSystem,
     derive_timing,
     detection_time,
+    field_schedule,
     kick_velocity,
 )
 from .errors import (
@@ -37,7 +41,7 @@ from .errors import (
     InvalidParameterError,
     NoSplitError,
 )
-from .oracle import Grid1D, GridState, field_schedule, propagate
+from .oracle import Grid1D, GridState
 
 _NOMINAL_COUNTS = 1_000_000  # scale for converting grid probability mass to counts
 
@@ -57,16 +61,17 @@ def _local_maxima(x: np.ndarray) -> np.ndarray:
     return (starts[1:-1][inner] + ends[1:-1][inner]) // 2
 
 
-def _valley_walk(heights: list[float], valleys: list[float]) -> np.ndarray:
+def _valley_walk(heights: list[float], valleys: list[float], passes) -> np.ndarray:
     """For each peak k, the lowest valley passed walking back from it until a
-    strictly higher peak: min(valleys[m + 1 .. k]), where valleys[k] is the
-    lowest point before peak k and m is the nearest earlier peak strictly
-    higher than heights[k] (or -1).  One monotonic-stack pass; peaks of equal
-    height are walked through."""
+    peak it does not pass: min(valleys[m + 1 .. k]), where valleys[k] is the
+    lowest point before peak k and m is the nearest earlier peak j with
+    passes(heights[j], heights[k]) false (or -1).  One monotonic-stack pass;
+    ``passes`` is operator.le to walk through peaks of equal height and
+    operator.lt to stop at them."""
     out = np.empty(len(heights))
     stack: list[tuple[float, float]] = []  # (height, min valley it covers)
     for k, (h, low) in enumerate(zip(heights, valleys)):
-        while stack and stack[-1][0] <= h:
+        while stack and passes(stack[-1][0], h):
             low = min(low, stack.pop()[1])
         stack.append((h, low))
         out[k] = low
@@ -78,13 +83,19 @@ def _prominences(x: np.ndarray, peaks: np.ndarray) -> np.ndarray:
     the lowest points reached walking left and right from it, each walk
     ending at the array's end or where the signal rises above the peak.
 
+    Ties go by position: the left walk also ends at an earlier peak of equal
+    height, while the right walk passes later ones, so of two equal peaks the
+    later one is ranked as if the earlier were higher.  (scipy's
+    peak_prominences passes equal peaks both ways, which gives two tied peaks
+    full prominence however shallow the dip between them.)
+
     Between two neighbouring local maxima the signal falls and then rises, so
     each walk's lowest point is the smallest valley minimum it crosses.
     """
     valleys = np.minimum.reduceat(x, np.r_[0, peaks]).tolist()
     heights = x[peaks].tolist()
-    left = _valley_walk(heights, valleys[:-1])
-    right = _valley_walk(heights[::-1], valleys[:0:-1])[::-1]
+    left = _valley_walk(heights, valleys[:-1], operator.lt)
+    right = _valley_walk(heights[::-1], valleys[:0:-1], operator.le)[::-1]
     return x[peaks] - np.maximum(left, right)
 
 
@@ -371,11 +382,10 @@ def sandwich(
     grid: Grid1D | None = None,
     y_source: float = 0.0,
     bins: int = 128,
-    n_field_steps: int = 128,
     units: UnitSystem = DEFAULT_UNITS,
 ) -> SandwichResult:
-    """Evolve the packet through the layer stack on the grid and count the
-    resolved peaks in the final z density."""
+    """Sample the closed-form state after the layer stack on the grid points
+    and count the resolved peaks in the final z density."""
     v = units.hbar * packet.k_y / units.mass
     windows = [
         (packet.t_prime + (layer.y_start - y_source) / v,
@@ -399,14 +409,23 @@ def sandwich(
         half = 1.25 * (drift + 8.0 * packet.sigma * abs(f)) + packet.sigma
         grid = Grid1D(z_min=-half, z_max=half, n_points=4096)
 
-    state = GridState.from_packet(packet, grid, units)
-    final = propagate(state, schedule, n_field_steps, units)
+    kicks = kick_integrals(schedule, t_final, units)
+    z = grid.points
+    final = GridState(
+        grid=grid,
+        psi_plus=packet.chi_plus * kicked_factor(
+            packet, kicks, t_final, Branch.PLUS.deflection_sign, z, units),
+        psi_minus=packet.chi_minus * kicked_factor(
+            packet, kicks, t_final, Branch.MINUS.deflection_sign, z, units),
+        t=t_final,
+    )
+    final.check_extent()
 
     density = final.density()
-    report = detect_bimodality(density, grid.points)
+    report = detect_bimodality(density, z)
 
     edges = np.linspace(grid.z_min, grid.z_max, bins + 1)
-    mass, _ = np.histogram(grid.points, bins=edges, weights=density * grid.dz)
+    mass, _ = np.histogram(z, bins=edges, weights=density * grid.dz)
     counts = np.rint(mass * _NOMINAL_COUNTS).astype(np.int64)
     histogram = Histogram(edges=edges, counts=counts, n_total=int(counts.sum()))
     kappas = tuple(layer_kappa(layer, packet, units) for layer in layers.layers)

@@ -8,7 +8,9 @@ Averaged over an isotropic spin ensemble this recreates the flat classical
 distribution, smoothed by the packet width.
 
 <mu_z> is frozen at its initial value (to lowest order in B the spin part is
-constant); no self-consistent iteration is performed.  The width convention
+constant); no self-consistent iteration is performed.  The state is defined
+from the region exit t_c on, where every kick is complete and the ensemble
+centers are (<mu_z>/mu_b) * v_z * (t - tbar).  The width convention
 for the smoothing Gaussian is sd = sigma*|f|/sqrt(2), i.e. the standard
 deviation of the single-packet probability density.
 """
@@ -23,9 +25,10 @@ import numpy as np
 from .analytic import SpinorField, evolve_packet
 from .classical import Histogram, chunked_samples
 from .core import Apparatus, DEFAULT_UNITS, GaussianPacket, UnitSystem
-from .errors import InvalidParameterError
+from .errors import DomainError, InvalidParameterError
 
 _erf = np.frompyfunc(math.erf, 1, 1)  # elementwise math.erf
+_erfc = np.frompyfunc(math.erfc, 1, 1)
 
 
 def spin_moment_average(
@@ -93,6 +96,17 @@ class MeanFieldState:
         return fld.apparatus.grad_Bz * self.center_z * mass_in_region
 
 
+def _post_exit_field(
+    packet: GaussianPacket, apparatus: Apparatus, t: float, units: UnitSystem
+) -> SpinorField:
+    fld = evolve_packet(packet, apparatus, t, units)
+    if t < fld.timing.t_c:
+        raise DomainError(
+            f"the mean-field state is defined for t >= t_c = {fld.timing.t_c}, got {t}"
+        )
+    return fld
+
+
 def meanfield_evolve(
     beta: float,
     packet: GaussianPacket,
@@ -105,7 +119,7 @@ def meanfield_evolve(
         raise InvalidParameterError(f"beta must be finite, got {beta}")
     return MeanFieldState(
         mu_z_avg=-units.mu_b * math.cos(beta),
-        field=evolve_packet(packet, apparatus, t, units),
+        field=_post_exit_field(packet, apparatus, t, units),
     )
 
 
@@ -125,7 +139,7 @@ def meanfield_ensemble(
     """
     if n < 1:
         raise InvalidParameterError(f"ensemble size must be >= 1, got {n}")
-    fld = evolve_packet(packet, apparatus, t, units)
+    fld = _post_exit_field(packet, apparatus, t, units)
     timing = fld.timing
     span = abs(timing.v_z) * (t - timing.t_bar)
     sd = fld.width / math.sqrt(2.0)
@@ -153,7 +167,10 @@ def meanfield_ensemble_density(z, span: float, sd: float):
     if span <= 1e-8 * sd:
         # bare-Gaussian limit; the erf difference below would cancel badly
         return np.exp(-z * z / (2.0 * sd * sd)) / (math.sqrt(2.0 * math.pi) * sd)
-    a = (z + span) / (sd * math.sqrt(2.0))
-    b = (z - span) / (sd * math.sqrt(2.0))
-    # _erf gives Python floats (a bare one for 0-d input); back to a float array
-    return np.asarray(_erf(a) - _erf(b), dtype=float) / (4.0 * span)
+    # p is even in z.  Outside the span, where erf(a) - erf(b) subtracts two
+    # values near 1, take erfc(b) - erfc(a) of the same arguments instead.
+    a = (np.abs(z) + span) / (sd * math.sqrt(2.0))
+    b = (np.abs(z) - span) / (sd * math.sqrt(2.0))
+    diff = np.where(b > 0.0, _erfc(b) - _erfc(a), _erf(a) - _erf(b))
+    # the ufuncs give Python floats (a bare one for 0-d input); back to floats
+    return np.asarray(diff, dtype=float) / (4.0 * span)

@@ -1,8 +1,8 @@
 """Independent grid propagator: 1-D two-component split-step Fourier evolution.
 
 This realizes the time-slicing limit of the propagator construction
-numerically and is used to validate every closed-form result, including
-in-region times the closed form refuses to evaluate.  Only the z axis is
+numerically and is the independent check of the closed form of
+:mod:`sgsim.analytic`, in and after the field regions.  Only the z axis is
 evolved: the potential is diagonal in spin and independent of x and y, so
 those directions factor out exactly.
 
@@ -11,9 +11,9 @@ per component, with V_plus = +mu_b*B'*z and V_minus = -mu_b*B'*z while the
 packet center is inside a field window and zero otherwise (the spin-up
 branch feels a force toward -z).  The kinetic step is exact on the grid and
 unitary; the potential step is a pure phase, so the norm is conserved to
-rounding.  ``field_schedule`` cuts the time axis at every window edge, so the
-abrupt field never needs sub-step blending, and ``propagate`` is the one loop
-that steps a state through such a schedule.
+rounding.  ``core.field_schedule`` cuts the time axis at every window edge,
+so the abrupt field never needs sub-step blending, and ``propagate`` is the
+one loop that steps a state through such a schedule.
 """
 
 from __future__ import annotations
@@ -31,6 +31,7 @@ from .core import (
     GaussianPacket,
     UnitSystem,
     derive_timing,
+    field_schedule,
 )
 from .errors import DomainError, ExtentError, InvalidParameterError
 
@@ -151,29 +152,6 @@ def _strang(
         psi_p = half_p * np.fft.ifft(kinetic * np.fft.fft(half_p * psi_p))
         psi_m = half_m * np.fft.ifft(kinetic * np.fft.fft(half_m * psi_m))
     return psi_p, psi_m
-
-
-def field_schedule(
-    t_start: float,
-    t_final: float,
-    fields: list[tuple[float, float, float]],
-) -> list[tuple[float, float, float]]:
-    """Cut [t_start, t_final] at every edge of the non-overlapping
-    (t_on, t_off, grad_Bz) windows in ``fields``.
-
-    Returns the (t0, t1, grad) segments in time order; each carries the
-    gradient of the window holding its midpoint, 0 outside every window.
-    """
-    if not t_final > t_start:
-        raise DomainError(f"t_final must exceed the start time {t_start}, got {t_final}")
-    edges = {t for t_on, t_off, _ in fields for t in (t_on, t_off)}
-    cuts = sorted({t_start, t_final} | {max(t_start, min(t, t_final)) for t in edges})
-    schedule = []
-    for t0, t1 in zip(cuts[:-1], cuts[1:]):
-        mid = 0.5 * (t0 + t1)
-        grad = next((g for t_on, t_off, g in fields if t_on <= mid < t_off), 0.0)
-        schedule.append((t0, t1, grad))
-    return schedule
 
 
 def propagate(

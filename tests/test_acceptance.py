@@ -39,7 +39,8 @@ from sgsim import (
     sandwich,
 )
 from sgsim.core import DEFAULT_UNITS
-from sgsim.oracle import _strang, field_schedule
+from sgsim.core import field_schedule
+from sgsim.oracle import _strang
 
 APP = Apparatus(0.0, 5.0, 6.0, 26.0, 100.0)
 PACKET = GaussianPacket()

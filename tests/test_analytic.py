@@ -1,3 +1,4 @@
+import cmath
 import math
 
 import numpy as np
@@ -6,19 +7,21 @@ from hypothesis import given, settings, strategies as st
 from scipy.integrate import quad
 from scipy.optimize import brentq, curve_fit
 
+from path_integral import ZKernelParams, free_kernel, sg_kernel, z_action
 from sgsim import (
     Branch,
     DomainError,
     GaussianPacket,
+    Grid1D,
+    GridState,
+    InvalidParameterError,
     derive_timing,
     dispersion_factor,
     evolve_packet,
-    free_kernel,
-    sg_kernel,
-    z_action,
+    propagate,
 )
-from sgsim.analytic import ZKernelParams
-from sgsim.core import DEFAULT_UNITS
+from sgsim.analytic import kick_integrals, kicked_factor
+from sgsim.core import DEFAULT_UNITS, field_schedule
 
 
 # ---------------------------------------------------------------------------
@@ -141,8 +144,13 @@ def test_kernel_propagates_packet_to_closed_form(
     sigma = default_packet.sigma
     zp = np.linspace(-10 * sigma, 10 * sigma, 20_001)
     psi0 = (math.pi * sigma**2) ** -0.25 * np.exp(-zp * zp / (2 * sigma**2))
-    # kernel and closed form omit the same branch-independent global phase,
-    # so the composition reproduces the marginal amplitude with no extra factor
+    # the kernel omits two phases common to both branches (see path_integral)
+    m, hbar = DEFAULT_UNITS.mass, DEFAULT_UNITS.hbar
+    omitted = cmath.exp(1j * m * timing.v_z ** 2 / (2.0 * hbar) * (
+        timing.dt / 6.0
+        - (t - timing.t_bar) * (timing.t_bar - default_packet.t_prime)
+        / (t - default_packet.t_prime)
+    ))
     for branch in Branch:
         params = ZKernelParams(
             t=t, t_prime=default_packet.t_prime, t_bar=timing.t_bar,
@@ -150,7 +158,7 @@ def test_kernel_propagates_packet_to_closed_form(
         )
         z_eval = np.linspace(field.branch_center(branch) - 3, field.branch_center(branch) + 3, 7)
         for z in z_eval:
-            integ = np.trapezoid(sg_kernel(params, z, zp) * psi0, zp)
+            integ = omitted * np.trapezoid(sg_kernel(params, z, zp) * psi0, zp)
             expected = complex(field.z_marginal_amplitude(branch, z))
             assert abs(integ - expected) < 1e-4
 
@@ -220,9 +228,84 @@ def test_midpoint_suppression_at_six_widths(default_apparatus, default_packet):
     assert ratio >= math.exp(-36.0)
 
 
-def test_evolve_rejects_in_region_times(default_apparatus, default_packet):
-    with pytest.raises(DomainError):
-        evolve_packet(default_packet, default_apparatus, 0.55)
+def test_evolve_accepts_in_region_times(default_apparatus, default_packet):
+    # halfway through the region: kick F*u with F = mu_b*B' = 100, u = 0.05,
+    # and the branch centers at -+F*u^2/(2m)
+    field = evolve_packet(default_packet, default_apparatus, 0.55)
+    p, q, _ = field.kicks
+    assert p == pytest.approx(5.0, rel=1e-12)
+    assert field.branch_center(Branch.PLUS) == pytest.approx(-0.125, rel=1e-12)
+    assert q == pytest.approx(0.125, rel=1e-12)
+    for t in (0.0, -1.0):  # at or before emission
+        with pytest.raises(DomainError):
+            evolve_packet(default_packet, default_apparatus, t)
+    for t in (math.nan, math.inf):
+        with pytest.raises(InvalidParameterError):
+            evolve_packet(default_packet, default_apparatus, t)
+
+
+def _stack_schedule(layers, post, frac):
+    """Field windows of (gap, length, grad) layers flown through one after
+    another from t = 0, and an evaluation time inside the window frac of the
+    way through the stack, or a delay of frac after its end."""
+    windows, t = [], 0.0
+    for gap, length, grad in layers:
+        windows.append((t + gap, t + gap + length, grad))
+        t += gap + length
+    if post:
+        t_final = t + frac
+    else:
+        t_on, t_off, _ = windows[int(frac * len(windows))]
+        t_final = t_on + (frac * len(windows) % 1.0) * (t_off - t_on)
+    return field_schedule(0.0, t_final, windows), t_final
+
+
+def _grid_holding(packet, schedule, t_final):
+    """Grid wide enough for the packet's largest drift and fine enough for
+    its largest kicked wavenumber, with 10 widths and 10/sigma to spare."""
+    kick = sum(abs(g) * (t1 - t0) for t0, t1, g in schedule)  # mu_b = 1
+    f = dispersion_factor(t_final - packet.t_prime, packet.sigma)
+    half = kick * t_final + 10.0 * packet.sigma * abs(f)
+    n = 256
+    while math.pi * n / (2.0 * half) < kick + 10.0 / packet.sigma:
+        n *= 2
+    return Grid1D(-half, half, n)
+
+
+@settings(max_examples=50, deadline=None)
+@given(
+    layers=st.lists(
+        st.tuples(st.floats(0.02, 0.3), st.floats(0.02, 0.15), st.floats(-60.0, 60.0)),
+        min_size=1, max_size=3,
+    ),
+    post=st.booleans(),
+    frac=st.floats(0.0, 0.999),
+    sigma=st.floats(0.5, 2.0),
+)
+def test_closed_form_amplitudes_match_grid(layers, post, frac, sigma):
+    """Both complex components, no phase aligned, against the grid at n and
+    2n field steps.  The step-doubling estimate of the fine run's error is
+    step/3, with step the distance between the two runs (Strang is second
+    order).  A closed form off by anything but the step error leaves a gap
+    that does not shrink with the step, so the fine run's error must equal
+    that estimate, up to the next order in the step."""
+    packet = GaussianPacket(sigma=sigma)
+    schedule, t_final = _stack_schedule(layers, post, frac)
+    grid = _grid_holding(packet, schedule, t_final)
+    start = GridState.from_packet(packet, grid)
+    coarse, fine = (propagate(start, schedule, n) for n in (64, 128))
+    kicks = kick_integrals(schedule, t_final)
+    exact = [
+        chi * kicked_factor(packet, kicks, t_final, branch.deflection_sign, grid.points)
+        for chi, branch in ((packet.chi_plus, Branch.PLUS), (packet.chi_minus, Branch.MINUS))
+    ]
+
+    def l2(a, b):
+        return math.sqrt(grid.dz * sum(float(np.sum(np.abs(x - y) ** 2)) for x, y in zip(a, b)))
+
+    step = l2((coarse.psi_plus, coarse.psi_minus), (fine.psi_plus, fine.psi_minus))
+    err = l2((fine.psi_plus, fine.psi_minus), exact)
+    assert abs(err - step / 3.0) <= step ** 2 + 1e-13
 
 
 @settings(max_examples=20, deadline=None)

@@ -270,6 +270,19 @@ def test_sandwich_layers_flag(tmp_path):
     assert report["peak_count"] == 1 and report["kappas"] == [0.1]
 
 
+def test_sandwich_strong_layer_peaks(tmp_path):
+    # k = 38.8 > pi/dz = 23.6 on the default grid: the sampled closed form
+    # needs no momentum band, and the peaks sit at -+v_z*(t - tbar) = -+34*5.05
+    code, out = run_cli(
+        ["sandwich", "--layers", "5:6:340", "--t", "5.6"], tmp_path, "s"
+    )
+    assert code == 0
+    report = json.loads((out / "report.json").read_text())
+    assert report["peak_count"] == 2
+    for got, want in zip(report["peak_positions"], (-171.7, 171.7)):
+        assert got == pytest.approx(want, abs=0.1)
+
+
 def test_sandwich_bins_flag_below_16(tmp_path):
     # the peak detector runs on the grid density, so any bins >= 2 is honoured
     code, out = run_cli(["sandwich", "--bins", "10"], tmp_path, "s")
@@ -318,7 +331,9 @@ def test_exit_code_validation_error(tmp_path, capsys):
 
 
 def test_exit_code_numeric_error(tmp_path, capsys):
-    code = main(["evolve", "--t", "0.1", "--out", str(tmp_path / "y")])
+    # a time before emission; in-region times are valid since the closed form
+    # holds at every time
+    code = main(["evolve", "--t", "-1", "--out", str(tmp_path / "y")])
     assert code == 4
     record = json.loads(capsys.readouterr().err)
     assert record["error"] == "DomainError"
@@ -373,7 +388,7 @@ def test_non_finite_results_not_written(experiment, tmp_path, capsys):
 
 
 @pytest.mark.parametrize("argv", [
-    ["sandwich", "--layers", "5:6:340", "--t", "5.6"],  # k = 38.8 > pi/dz = 23.6
+    ["oracle-compare", "--t", "100", "--grid-n", "256"],  # k = 1.36 > pi/dz = 0.36
     ["oracle-compare", "--t", "10000"],
     ["oracle-compare", "--t", "100"],  # k = 5.80 > pi/dz = 5.72
 ])
@@ -513,9 +528,11 @@ def test_abbreviated_flag_rejected(argv, tmp_path, capsys):
 
 def test_runtime_imports_no_scipy(fresh_python):
     # scipy is a test dependency only: its import would cost every CLI run
-    # about 1.5 s
+    # about 1.5 s.  The thread pool's concurrent.futures, which loads logging,
+    # is imported only when an ensemble runs on more than one thread.
     out = fresh_python(
         "import sys, sgsim, sgsim.cli; "
-        "print(sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')))"
+        "print(sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')"
+        " or m in ('concurrent.futures', 'logging')))"
     )
     assert out.strip() == "[]"

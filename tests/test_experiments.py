@@ -13,6 +13,7 @@ from sgsim import (
     GaussianPacket,
     GeometryError,
     Grid1D,
+    GridState,
     InvalidParameterError,
     Layer,
     LayerStack,
@@ -23,9 +24,11 @@ from sgsim import (
     dispersion_factor,
     kick_velocity,
     layer_kappa,
+    propagate,
     recombine,
     sandwich,
 )
+from sgsim.core import field_schedule
 from sgsim.experiments import _half_width, _local_maxima, _prominences
 
 
@@ -72,20 +75,60 @@ def test_bimodality_input_validation():
             detect_bimodality(np.r_[np.ones(31), bad])
 
 
-# The numpy peak finder against scipy.signal, the reference it replaces.
+# The numpy peak finder against scipy.signal, the reference it replaces.  The
+# two differ only in how they rank peaks of equal height (see _prominences),
+# so where two local maxima tie the reference is a sample-by-sample walk.
+
+
+def _walk_prominences(x, peaks):
+    """Prominences and bases by walking from each peak sample by sample:
+    left past its own plateau and on to the first sample at or above it,
+    right to the first sample above it, each walk keeping its lowest sample
+    (of equal lows the one nearest the peak, as scipy does)."""
+    prominences, left_bases, right_bases = [], [], []
+    for peak in peaks:
+        h = x[peak]
+        i = peak
+        while i > 0 and x[i - 1] == h:
+            i -= 1
+        left = i
+        while i > 0 and x[i - 1] < h:
+            i -= 1
+            if x[i] < x[left]:
+                left = i
+        j = right = peak
+        while j < x.size - 1 and x[j + 1] <= h:
+            j += 1
+            if x[j] < x[right]:
+                right = j
+        prominences.append(h - max(x[left], x[right]))
+        left_bases.append(left)
+        right_bases.append(right)
+    return (np.array(prominences, dtype=float), np.array(left_bases, dtype=np.intp),
+            np.array(right_bases, dtype=np.intp))
+
+
+def _has_ties(x, peaks):
+    return np.unique(x[peaks]).size < peaks.size
 
 
 def _scipy_bimodality(values, coordinates, prominence_frac=0.05):
-    """detect_bimodality written on scipy.signal.find_peaks and peak_widths."""
+    """detect_bimodality written on scipy.signal's find_peaks and
+    peak_widths, with the walk's prominences where two maxima tie."""
     smooth = np.convolve(values, np.ones(3) / 3.0, mode="same")
-    idx, props = find_peaks(smooth, prominence=prominence_frac * float(smooth.max()))
+    idx, _ = find_peaks(smooth)
+    data = (_walk_prominences if _has_ties(smooth, idx) else peak_prominences)(smooth, idx)
+    keep = prominence_frac * float(smooth.max()) <= data[0]
+    idx, data = idx[keep], tuple(d[keep] for d in data)
     positions = tuple(float(coordinates[i]) for i in idx)
     if idx.size < 2:
         return BimodalityReport(int(idx.size), positions, 0.0)
-    order = np.argsort(props["prominences"])[::-1][:2]
+    order = np.argsort(data[0])[::-1][:2]
     top = np.sort(idx[order])
-    taller = top[np.argmax(smooth[top])]
-    widths, _, _, _ = peak_widths(smooth, np.array([taller]), rel_height=0.5)
+    k = int(np.searchsorted(idx, top[np.argmax(smooth[top])]))
+    widths, _, _, _ = peak_widths(
+        smooth, idx[k:k + 1], rel_height=0.5, prominence_data=tuple(d[k:k + 1] for d in data)
+    )
     fwhm = float(widths[0]) * float(np.mean(np.diff(coordinates)))
     separation = abs(float(coordinates[top[1]] - coordinates[top[0]]))
     return BimodalityReport(
@@ -96,9 +139,13 @@ def _scipy_bimodality(values, coordinates, prominence_frac=0.05):
 def _assert_peaks_match_scipy(x, coordinates):
     peaks, _ = find_peaks(x)
     assert np.array_equal(_local_maxima(x), peaks)
-    prominences = peak_prominences(x, peaks)[0]
+    walked = _walk_prominences(x, peaks)
+    if not _has_ties(x, peaks):
+        for ours, theirs in zip(walked, peak_prominences(x, peaks)):
+            assert np.array_equal(ours, theirs)
+    prominences = walked[0]
     assert np.array_equal(_prominences(x, peaks), prominences)
-    widths = peak_widths(x, peaks, rel_height=0.5)[0]
+    widths = peak_widths(x, peaks, rel_height=0.5, prominence_data=walked)[0]
     ours = [_half_width(x, int(p), q) for p, q in zip(peaks, prominences)]
     assert np.array_equal(np.array(ours, dtype=float), widths)
     if np.convolve(x, np.ones(3) / 3.0, mode="same").max() > 0:
@@ -134,10 +181,22 @@ _PROFILES = st.one_of(
 @settings(max_examples=300, deadline=None)
 @given(profile=_PROFILES, pad=st.tuples(st.integers(0, 20), st.integers(0, 20)))
 @example(profile=np.r_[np.zeros(14), 5e-324, 0.0], pad=(0, 0))
+@example(profile=np.r_[np.zeros(12), 2.0, 1.0, 2.0, 0.0], pad=(0, 0))
 def test_peak_finder_matches_scipy(profile, pad):
     # flat ends: the profile's end values repeated on either side
     x = np.r_[np.full(pad[0], profile[0]), profile, np.full(pad[1], profile[-1])]
     _assert_peaks_match_scipy(x, np.arange(x.size, dtype=float))
+
+
+def test_tied_peaks_rank_by_position():
+    # scipy gives both tied peaks the full prominence 2; ranked by position,
+    # the later one rises only 1 above the dip it shares with the earlier one
+    x = np.r_[np.zeros(12), 2.0, 1.0, 2.0, 0.0]
+    peaks = _local_maxima(x)
+    assert peaks.tolist() == [12, 14]
+    assert peak_prominences(x, peaks)[0].tolist() == [2.0, 2.0]
+    assert _prominences(x, peaks).tolist() == [2.0, 1.0]
+    assert _walk_prominences(x, peaks)[0].tolist() == [2.0, 1.0]
 
 
 @pytest.mark.parametrize(
@@ -146,16 +205,19 @@ def test_peak_finder_matches_scipy(profile, pad):
      (2.0, 8.0, 50.0, 16384)],
 )
 def test_peak_finder_matches_scipy_on_sandwich_densities(sigma, grad, t_final, n_points):
-    # the 16384-point far-field densities carry hundreds of maxima in their tails
+    # The grid propagator's densities on sandwich's grids: at 16384 points
+    # their far-field tails carry hundreds of maxima in rounding noise, where
+    # the closed form that sandwich samples has two.
     pkt = GaussianPacket(sigma=sigma)
     grid = None
     if n_points is not None:
         f = dispersion_factor(t_final, sigma)
         half = 1.25 * (0.1 * grad * (t_final - 0.55) + 8 * sigma * abs(f)) + sigma
         grid = Grid1D(-half, half, n_points)
-    res = sandwich(pkt, LayerStack((Layer(5.0, 6.0, grad),)), t_final, grid=grid)
-    density = res.state.density()
-    coordinates = res.state.grid.points
+    grid = sandwich(pkt, LayerStack((Layer(5.0, 6.0, grad),)), t_final, grid=grid).state.grid
+    schedule = field_schedule(0.0, t_final, [(0.5, 0.6, grad)])  # beam speed 10
+    density = propagate(GridState.from_packet(pkt, grid), schedule, 128).density()
+    coordinates = grid.points
     _assert_peaks_match_scipy(density, coordinates)
     _assert_peaks_match_scipy(np.convolve(density, np.ones(3) / 3.0, mode="same"), coordinates)
 
@@ -375,18 +437,22 @@ def test_sandwich_rejects_upstream_layers(default_packet):
         sandwich(default_packet, LayerStack(()), 0.0)
 
 
-def test_sandwich_refuses_unheld_momentum(default_packet):
-    # kick k = 40 against pi/dz = 20.7 on the default 4096-point grid; the
-    # aliased state used to come back with a spin-up branch at +7.3
-    with pytest.raises(ExtentError, match="wavenumbers"):
-        sandwich(default_packet, LayerStack((Layer(5.0, 6.0, 400.0),)), 5.6)
+def test_sandwich_resolves_kicks_past_the_grid_band(default_packet):
+    # kick k = 40 against pi/dz = 20.7 on the default 4096-point grid, which a
+    # split-step propagation on that grid could not hold: the sampled closed
+    # form puts the branches at -+v_z*(t - tbar) = -+40*5.05
+    res = sandwich(default_packet, LayerStack((Layer(5.0, 6.0, 400.0),)), 5.6)
+    dz = res.state.grid.dz
+    assert 40.0 > math.pi / dz
+    assert res.peak_count == 2
+    for got, want in zip(res.report.peak_positions, (-202.0, 202.0)):
+        assert got == pytest.approx(want, abs=dz)
 
 
-def test_sandwich_rejects_field_steps_below_one(default_packet):
+def test_sandwich_refuses_grid_too_narrow(default_packet):
     stack = LayerStack((Layer(5.0, 6.0, 100.0),))
-    for n in (-3, 0):
-        with pytest.raises(InvalidParameterError):
-            sandwich(default_packet, stack, 5.6, n_field_steps=n)
+    with pytest.raises(ExtentError, match="boundary"):
+        sandwich(default_packet, stack, 5.6, grid=Grid1D(-20.0, 20.0, 1024))
 
 
 def test_kick_velocity_consistency(default_apparatus, default_packet):

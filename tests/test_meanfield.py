@@ -1,5 +1,6 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -195,6 +196,23 @@ def test_ensemble_density_erf_matches_scipy(span, sd, seed):
     np.testing.assert_allclose(ours * 4.0 * span, ref * 4.0 * span, rtol=0, atol=1e-15)
     inside = np.abs(z) <= span
     np.testing.assert_allclose(ours[inside], ref[inside], rtol=1e-15, atol=0)
+
+
+def test_ensemble_density_tails_match_mpmath():
+    # (erfc(b) - erfc(a))/(4*span) at |z|, in 50-digit arithmetic; the erf
+    # difference of two values near 1 used to return exactly 0 from 8.5 sd on
+    span, sd = 10.0, 1.0
+    for k in (0.0, 6.0, 8.5, 10.0, 20.0):
+        z = span + k * sd
+        with mpmath.workdps(50):
+            a = (mpmath.mpf(z) + span) / (sd * mpmath.sqrt(2))
+            b = (mpmath.mpf(z) - span) / (sd * mpmath.sqrt(2))
+            ref = float((mpmath.erfc(b) - mpmath.erfc(a)) / (4 * span))
+        for signed in (z, -z):
+            value = meanfield_ensemble_density(signed, span, sd)
+            assert value == pytest.approx(ref, rel=1e-13, abs=0.0)
+    tails = meanfield_ensemble_density(span + np.array([8.5, 10.0]) * sd, span, sd)
+    np.testing.assert_allclose(tails, [4.74e-19, 3.81e-25], rtol=1e-3, atol=0)
 
 
 def test_ensemble_density_erf_scalar_inputs():

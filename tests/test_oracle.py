@@ -23,7 +23,8 @@ from sgsim import (
     propagate_packet,
     suggest_grid,
 )
-from sgsim.oracle import _strang, field_schedule
+from sgsim.core import field_schedule
+from sgsim.oracle import _strang
 from sgsim.core import DEFAULT_UNITS
 
 
@@ -257,7 +258,7 @@ def test_branch_separation_direction(default_apparatus, default_packet):
 _FAULT_PROBE = """
 import resource, sys
 from sgsim import GaussianPacket, Grid1D, GridState, propagate
-from sgsim.oracle import field_schedule
+from sgsim.core import field_schedule
 
 state = GridState.from_packet(GaussianPacket(), Grid1D(-80.0, 80.0, 16384))
 schedule = field_schedule(0.0, 3.0, [(0.5, 0.6, 100.0)])
