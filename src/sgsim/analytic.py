@@ -8,10 +8,10 @@ Herbst, Commun. Math. Phys. 52, 239 (1977)):
     psi_s(z, t) = chi_s * exp(i*s*(p*z - s*S)/hbar) * phi_free(z - s*q, t),
 
 with the kick integrals p = int mu_b*B' dt, q = int p/m dt and
-S = int p^2/(2m) dt taken from emission to t.  On each segment of a field
-schedule p is linear, q quadratic and S cubic in time, so the form holds
-at every time, inside a field region or after it; the grid propagator
-(:mod:`sgsim.oracle`) is its independent check.
+S = int p^2/(2m) dt taken from emission to t (``core.kick_integrals``).
+On each segment of a field schedule p is linear, q quadratic and S cubic in
+time, so the form holds at every time, inside a field region or after it;
+the grid propagator (:mod:`sgsim.oracle`) is its independent check.
 
 Phase conventions: all complex square roots take the principal branch.  The
 dispersion factor f(tau) = 1 + i*hbar*tau/(m*sigma^2) has unit real part
@@ -37,45 +37,16 @@ from .core import (
     GaussianPacket,
     Timing,
     UnitSystem,
+    apparatus_schedule,
     derive_timing,
-    field_schedule,
+    kick_integrals,
 )
-from .errors import DomainError, InvalidParameterError
+from .errors import InvalidParameterError
 
 
 def dispersion_factor(tau: float, sigma: float, units: UnitSystem = DEFAULT_UNITS) -> complex:
     """f(tau) = 1 + i*hbar*tau/(m*sigma^2); |f| is the width-growth factor."""
     return 1.0 + 1j * units.hbar * tau / (units.mass * sigma * sigma)
-
-
-def kick_integrals(
-    schedule: list[tuple[float, float, float]],
-    t: float,
-    units: UnitSystem = DEFAULT_UNITS,
-) -> tuple[float, float, float]:
-    """Kick integrals (p, q, S) at time t of the s = +1 branch driven through
-    the (t0, t1, grad) segments of ``schedule`` from its start:
-    p = int mu_b*B' dt, q = int p/m dt and S = int p^2/(2m) dt.
-
-    On a segment of constant force F = mu_b*grad, a time u after its start,
-    p gains F*u, q gains (p0*u + F*u^2/2)/m and S gains
-    (p0^2*u + p0*F*u^2 + F^2*u^3/3)/(2m), with p0 the momentum at its start.
-    """
-    if not schedule[0][0] <= t <= schedule[-1][1]:
-        raise DomainError(
-            f"t = {t} lies outside the schedule [{schedule[0][0]}, {schedule[-1][1]}]"
-        )
-    m = units.mass
-    p = q = action = 0.0
-    for t0, t1, grad in schedule:
-        u = min(t1, t) - t0
-        if u <= 0.0:
-            break
-        force = units.mu_b * grad
-        action += u * (p * p + p * force * u + force * force * u * u / 3.0) / (2.0 * m)
-        q += (p * u + 0.5 * force * u * u) / m
-        p += force * u
-    return p, q, action
 
 
 def kicked_factor(
@@ -223,11 +194,8 @@ def evolve_packet(
     field on between t_b and t_c."""
     if not math.isfinite(t):
         raise InvalidParameterError(f"evaluation time must be finite, got {t}")
-    timing = derive_timing(apparatus, packet, units)
-    schedule = field_schedule(
-        packet.t_prime, t, [(timing.t_b, timing.t_c, apparatus.grad_Bz)]
-    )
     return SpinorField(
-        packet=packet, apparatus=apparatus, timing=timing, units=units, t=t,
-        kicks=kick_integrals(schedule, t, units),
+        packet=packet, apparatus=apparatus,
+        timing=derive_timing(apparatus, packet, units), units=units, t=t,
+        kicks=kick_integrals(apparatus_schedule(apparatus, packet, t, units), t, units),
     )

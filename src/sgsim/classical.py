@@ -18,7 +18,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Apparatus, DEFAULT_UNITS, GaussianPacket, Timing, UnitSystem, derive_timing
+from .core import (
+    Apparatus,
+    DEFAULT_UNITS,
+    GaussianPacket,
+    UnitSystem,
+    apparatus_schedule,
+    derive_timing,
+    kick_integrals,
+)
 from .errors import DomainError, InvalidParameterError
 
 _CHUNK = 1 << 18  # samples per RNG sub-stream
@@ -98,34 +106,20 @@ def classical_trajectory(
     t: float,
     units: UnitSystem = DEFAULT_UNITS,
 ) -> ClassicalState:
-    """Piecewise classical solution for z(t), p_z(t) with z = p_z = 0 at emission.
-
-    Free flight before t_b, uniform acceleration mu_z * dBz/dz in the
-    interaction region, free flight after t_c.
+    """Classical z(t), p_z(t) of a moment mu_z, with z = p_z = 0 at emission:
+    (mu_z/mu_b) * (q, p) of the kick integrals of the apparatus's field
+    schedule, so free flight outside the region and uniform acceleration
+    mu_z * dBz/dz / m inside it.
     """
     if not math.isfinite(mu_z) or not math.isfinite(t):
         raise InvalidParameterError("mu_z and t must be finite")
     if t < packet.t_prime:
         raise DomainError(f"t = {t} precedes emission time t' = {packet.t_prime}")
-    timing = derive_timing(apparatus, packet, units)
-    accel = mu_z * apparatus.grad_Bz / units.mass
-    if t <= timing.t_b:
+    if t == packet.t_prime:
         return ClassicalState(z=0.0, p_z=0.0, t=t)
-    if t <= timing.t_c:
-        tau = t - timing.t_b
-        return ClassicalState(
-            z=0.5 * accel * tau * tau,
-            p_z=units.mass * accel * tau,
-            t=t,
-        )
-    dt = timing.dt
-    z_c = 0.5 * accel * dt * dt
-    v_after = accel * dt
-    return ClassicalState(
-        z=z_c + v_after * (t - timing.t_c),
-        p_z=units.mass * v_after,
-        t=t,
-    )
+    p, q, _ = kick_integrals(apparatus_schedule(apparatus, packet, t, units), t, units)
+    scale = mu_z / units.mu_b
+    return ClassicalState(z=scale * q, p_z=scale * p, t=t)
 
 
 def deflection(

@@ -197,12 +197,17 @@ def _floats(section: str, *names: str) -> tuple[_Key, ...]:
     return tuple(_Key(f"{section}.{n}", f"{section}.{n}", *_FLOAT) for n in names)
 
 
-# Every config key, in the order config_to_text writes them.
+_ENSEMBLES = ("classical", "meanfield")
+_TIMED = ("evolve", "density", "meanfield", "oracle-compare", "sandwich")
+
+# Every config key, in the order config_to_text writes them.  A flag is
+# offered only by the subcommands that read its key; a config file may set
+# any key, since config_to_text writes them all.
 _KEYS = (
     _Key("run.experiment", "experiment", *_TEXT),
-    _Key("run.n", "n", *_INT, "--n N"),
-    _Key("run.seed", "seed", *_INT, "--seed N"),
-    _Key("run.bins", "bins", *_INT, "--bins N"),
+    _Key("run.n", "n", *_INT, "--n N", _ENSEMBLES),
+    _Key("run.seed", "seed", *_INT, "--seed N", _ENSEMBLES),
+    _Key("run.bins", "bins", *_INT, "--bins N", _ENSEMBLES + ("sandwich",)),
     _Key("run.out", "out", *_TEXT, "--out DIR"),
     *_floats("units", "hbar", "mass", "mu_b"),
     *_floats("apparatus", "y_a", "y_b", "y_c", "y_d", "grad_Bz"),
@@ -210,7 +215,7 @@ _KEYS = (
     _Key("packet.chi_plus", "packet.chi_plus", *_COMPLEX),
     _Key("packet.chi_minus", "packet.chi_minus", *_COMPLEX),
     *_floats("packet", "t_prime"),
-    _Key("grid.n_points", "grid_n", *_INT, "--grid-n N"),
+    _Key("grid.n_points", "grid_n", *_INT, "--grid-n N", ("evolve", "oracle-compare")),
     _Key("oracle.n_field_steps", "n_field_steps", *_INT,
          "--n-field-steps N_FIELD_STEPS", ("oracle-compare",)),
     _Key("recombine.phase_error", "phase_error", *_FLOAT,
@@ -219,7 +224,7 @@ _KEYS = (
     _Key("recombine.separated", "separated", *_BOOL, "--separated", ("recombine",)),
     _Key("sandwich.layers", "layers", *_LAYERS, "--layers LAYERS", ("sandwich",),
          "semicolon-separated y0:y1:grad triples"),
-    _Key("run.t", "t", *_FLOAT, "--t T"),  # written only when set
+    _Key("run.t", "t", *_FLOAT, "--t T", _TIMED),  # written only when set
 )
 _BY_KEY = {row.key: row for row in _KEYS}
 

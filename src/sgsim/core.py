@@ -1,5 +1,6 @@
 """Unit conventions, apparatus geometry, initial packet, derived kinematics,
-and the field schedule of a flight through field windows.
+the field schedule of a flight through field windows, and its kick
+integrals, which say where every branch is.
 
 Everything downstream works in the dimensionless defaults hbar = m = mu_b = 1;
 physical values can be supplied through :class:`UnitSystem`.
@@ -93,13 +94,6 @@ class Apparatus:
         """Center of the interaction region."""
         return 0.5 * (self.y_b + self.y_c)
 
-    def translated(self, shift: float) -> "Apparatus":
-        """Rigidly shift the whole apparatus along y."""
-        return Apparatus(
-            self.y_a + shift, self.y_b + shift, self.y_c + shift, self.y_d + shift,
-            self.grad_Bz,
-        )
-
 
 _SQRT_HALF = 1.0 / math.sqrt(2.0)
 
@@ -138,11 +132,6 @@ class GaussianPacket:
 
     def source_y(self, apparatus: Apparatus) -> float:
         return self.source[1] if self.source is not None else apparatus.y_a
-
-    def with_spin(self, chi_plus: complex, chi_minus: complex) -> "GaussianPacket":
-        return GaussianPacket(
-            self.sigma, self.k_y, chi_plus, chi_minus, self.t_prime, self.source
-        )
 
 
 @dataclass(frozen=True)
@@ -239,3 +228,49 @@ def field_schedule(
         grad = next((g for t_on, t_off, g in fields if t_on <= mid < t_off), 0.0)
         schedule.append((t0, t1, grad))
     return schedule
+
+
+def apparatus_schedule(
+    apparatus: Apparatus,
+    packet: GaussianPacket,
+    t_final: float,
+    units: UnitSystem = DEFAULT_UNITS,
+) -> list[tuple[float, float, float]]:
+    """Field schedule of the packet's flight from emission to t_final: the
+    apparatus's one window, on from t_b to t_c."""
+    timing = derive_timing(apparatus, packet, units)
+    return field_schedule(
+        packet.t_prime, t_final, [(timing.t_b, timing.t_c, apparatus.grad_Bz)]
+    )
+
+
+def kick_integrals(
+    schedule: list[tuple[float, float, float]],
+    t: float,
+    units: UnitSystem = DEFAULT_UNITS,
+) -> tuple[float, float, float]:
+    """Kick integrals (p, q, S) at time t of the s = +1 branch driven through
+    the (t0, t1, grad) segments of ``schedule`` from its start:
+    p = int mu_b*B' dt, q = int p/m dt and S = int p^2/(2m) dt.
+
+    These give where every branch is: a moment mu_z follows the classical
+    path z = (mu_z/mu_b)*q, p_z = (mu_z/mu_b)*p, exactly, at every time.
+    On a segment of constant force F = mu_b*grad, a time u after its start,
+    p gains F*u, q gains (p0*u + F*u^2/2)/m and S gains
+    (p0^2*u + p0*F*u^2 + F^2*u^3/3)/(2m), with p0 the momentum at its start.
+    """
+    if not schedule[0][0] <= t <= schedule[-1][1]:
+        raise DomainError(
+            f"t = {t} lies outside the schedule [{schedule[0][0]}, {schedule[-1][1]}]"
+        )
+    m = units.mass
+    p = q = action = 0.0
+    for t0, t1, grad in schedule:
+        u = min(t1, t) - t0
+        if u <= 0.0:
+            break
+        force = units.mu_b * grad
+        action += u * (p * p + p * force * u + force * force * u * u / 3.0) / (2.0 * m)
+        q += (p * u + 0.5 * force * u * u) / m
+        p += force * u
+    return p, q, action

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .analytic import dispersion_factor, evolve_packet, kick_integrals, kicked_factor
+from .analytic import evolve_packet, kicked_factor
 from .classical import Histogram
 from .core import (
     Apparatus,
@@ -30,9 +30,11 @@ from .core import (
     DEFAULT_UNITS,
     GaussianPacket,
     UnitSystem,
+    apparatus_schedule,
     derive_timing,
     detection_time,
     field_schedule,
+    kick_integrals,
     kick_velocity,
 )
 from .errors import (
@@ -41,7 +43,7 @@ from .errors import (
     InvalidParameterError,
     NoSplitError,
 )
-from .oracle import Grid1D, GridState
+from .oracle import Grid1D, GridState, schedule_grid
 
 _NOMINAL_COUNTS = 1_000_000  # scale for converting grid probability mass to counts
 
@@ -206,7 +208,7 @@ def backtrack_collapse(
     ``times`` are post-interaction sampling times (default: five stations
     between the region exit and the detector).  ``centroids`` may supply
     measured (z_plus, z_minus) arrays aligned with ``times``; by default the
-    closed-form centroids -+ v_z*(t - tbar) are used.
+    closed-form centroids -+q of the kick integrals are used.
     """
     timing = derive_timing(apparatus, packet, units)
     if apparatus.grad_Bz == 0:
@@ -220,8 +222,10 @@ def backtrack_collapse(
     if np.any(times < timing.t_c):
         raise DomainError("sampling times must be post-interaction (t >= t_c)")
     if centroids is None:
-        z_plus = Branch.PLUS.deflection_sign * timing.v_z * (times - timing.t_bar)
-        z_minus = Branch.MINUS.deflection_sign * timing.v_z * (times - timing.t_bar)
+        schedule = apparatus_schedule(apparatus, packet, float(times.max()), units)
+        q = np.array([kick_integrals(schedule, t, units)[1] for t in times])
+        z_plus = Branch.PLUS.deflection_sign * q
+        z_minus = Branch.MINUS.deflection_sign * q
     else:
         z_plus, z_minus = (np.asarray(c, dtype=float) for c in centroids)
     y = packet.source_y(apparatus) + timing.v * (times - packet.t_prime)
@@ -399,15 +403,7 @@ def sandwich(
             raise GeometryError("layers must lie downstream of the source")
 
     if grid is None:
-        tau = t_final - packet.t_prime
-        f = dispersion_factor(tau, packet.sigma, units)
-        drift = sum(
-            abs(g) * units.mu_b * (t1 - t0) / units.mass
-            * (t_final - 0.5 * (t0 + t1))
-            for t0, t1, g in schedule
-        )
-        half = 1.25 * (drift + 8.0 * packet.sigma * abs(f)) + packet.sigma
-        grid = Grid1D(z_min=-half, z_max=half, n_points=4096)
+        grid = schedule_grid(packet, schedule, units=units)
 
     kicks = kick_integrals(schedule, t_final, units)
     z = grid.points

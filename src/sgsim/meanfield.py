@@ -2,15 +2,16 @@
 
 Forcing psi = phi(t, x) * chi(t) and coupling space and spin only through the
 averages <mu> and <B> turns the two-humped entangled solution into one
-Gaussian centered at z = (<mu_z>/mu_b) * v_z * (t - tbar): the closed form's
-z factor (``SpinorField.z_factor``) with the kick scaled by <mu_z>/mu_b.
+Gaussian centered at z = (<mu_z>/mu_b) * q, with q the kick integral of the
+field schedule: the closed form's z factor (``SpinorField.z_factor``) with
+the kick scaled by <mu_z>/mu_b.
 Averaged over an isotropic spin ensemble this recreates the flat classical
 distribution, smoothed by the packet width.
 
 <mu_z> is frozen at its initial value (to lowest order in B the spin part is
-constant); no self-consistent iteration is performed.  The state is defined
-from the region exit t_c on, where every kick is complete and the ensemble
-centers are (<mu_z>/mu_b) * v_z * (t - tbar).  The width convention
+constant); no self-consistent iteration is performed.  The state is the
+same kicked factor at any time after emission, inside the field region or
+after it.  The width convention
 for the smoothing Gaussian is sd = sigma*|f|/sqrt(2), i.e. the standard
 deviation of the single-packet probability density.
 """
@@ -25,7 +26,7 @@ import numpy as np
 from .analytic import SpinorField, evolve_packet
 from .classical import Histogram, chunked_samples
 from .core import Apparatus, DEFAULT_UNITS, GaussianPacket, UnitSystem
-from .errors import DomainError, InvalidParameterError
+from .errors import InvalidParameterError
 
 _erf = np.frompyfunc(math.erf, 1, 1)  # elementwise math.erf
 _erfc = np.frompyfunc(math.erfc, 1, 1)
@@ -44,8 +45,8 @@ def spin_moment_average(
 
 @dataclass(frozen=True)
 class MeanFieldState:
-    """Single-Gaussian field for a fixed spin orientation at time t >= t_c:
-    the closed form's z factor with the kick scaled by <mu_z>/mu_b.
+    """Single-Gaussian field for a fixed spin orientation at any time t after
+    emission: the closed form's z factor with the kick scaled by <mu_z>/mu_b.
 
     Callable: ``state(x, y, z)`` returns the complex amplitude phi.
     """
@@ -62,7 +63,7 @@ class MeanFieldState:
 
     @property
     def center_z(self) -> float:
-        """(<mu_z>/mu_b) * v_z * (t - tbar)."""
+        """(<mu_z>/mu_b) * q: the classical path of the moment <mu_z>."""
         return self.field.kicked_center(self.mu_z_avg / self.field.units.mu_b)
 
     def __call__(self, x, y, z):
@@ -96,17 +97,6 @@ class MeanFieldState:
         return fld.apparatus.grad_Bz * self.center_z * mass_in_region
 
 
-def _post_exit_field(
-    packet: GaussianPacket, apparatus: Apparatus, t: float, units: UnitSystem
-) -> SpinorField:
-    fld = evolve_packet(packet, apparatus, t, units)
-    if t < fld.timing.t_c:
-        raise DomainError(
-            f"the mean-field state is defined for t >= t_c = {fld.timing.t_c}, got {t}"
-        )
-    return fld
-
-
 def meanfield_evolve(
     beta: float,
     packet: GaussianPacket,
@@ -119,7 +109,7 @@ def meanfield_evolve(
         raise InvalidParameterError(f"beta must be finite, got {beta}")
     return MeanFieldState(
         mu_z_avg=-units.mu_b * math.cos(beta),
-        field=_post_exit_field(packet, apparatus, t, units),
+        field=evolve_packet(packet, apparatus, t, units),
     )
 
 
@@ -139,14 +129,13 @@ def meanfield_ensemble(
     """
     if n < 1:
         raise InvalidParameterError(f"ensemble size must be >= 1, got {n}")
-    fld = _post_exit_field(packet, apparatus, t, units)
-    timing = fld.timing
-    span = abs(timing.v_z) * (t - timing.t_bar)
+    fld = evolve_packet(packet, apparatus, t, units)
+    span = abs(fld.kicked_center(1.0))
     sd = fld.width / math.sqrt(2.0)
 
     def sampler(rng, size):
-        centers = -rng.uniform(-1.0, 1.0, size) * timing.v_z * (t - timing.t_bar)
-        return rng.normal(centers, sd)
+        # <mu_z>/mu_b = -cos(beta), with cos(beta) uniform on [-1, 1]
+        return rng.normal(fld.kicked_center(-rng.uniform(-1.0, 1.0, size)), sd)
 
     samples = chunked_samples(n, seed, sampler)
     if np.isscalar(bins):

@@ -340,8 +340,11 @@ def test_exit_code_numeric_error(tmp_path, capsys):
 
 
 def test_argparse_rejects_unknown_subcommand(capsys):
-    # usage errors get the same exit code and JSON record as a bad config
-    for argv in (["warp-drive"], ["recombine", "--grad", "1"], [], ["density", "--t"]):
+    # usage errors get the same exit code and JSON record as a bad config; a
+    # flag the subcommand would not read is one, not a silent no-op
+    for argv in (["warp-drive"], ["recombine", "--grad", "1"], [], ["density", "--t"],
+                 ["sandwich", "--grid-n", "8192"], ["backtrack", "--t", "3"],
+                 ["recombine", "--seed", "1"], ["density", "--bins", "10"]):
         assert main(argv) == 2, argv
         (line,) = capsys.readouterr().err.splitlines()
         assert json.loads(line)["error"] == "ConfigError"
@@ -458,18 +461,91 @@ def test_malformed_key_value_gives_one_json_record(row, tmp_path, capsys):
 
 
 def test_flags_per_subcommand(capsys):
-    common = {"--config", "--out", "--seed", "--n", "--t", "--bins", "--grid-n"}
-    extra = {
-        "oracle-compare": {"--n-field-steps"},
+    # each subcommand offers only the flags whose keys it reads
+    reads = {
+        "classical": {"--n", "--seed", "--bins"},
+        "evolve": {"--t", "--grid-n"},
+        "density": {"--t"},
+        "meanfield": {"--n", "--seed", "--bins", "--t"},
+        "oracle-compare": {"--t", "--grid-n", "--n-field-steps"},
+        "backtrack": set(),
         "recombine": {"--phase-error", "--gap", "--separated"},
-        "sandwich": {"--layers"},
+        "sandwich": {"--bins", "--t", "--layers"},
     }
+    offered = 0
     for name in EXPERIMENTS:
         with pytest.raises(SystemExit) as exc:
             main([name, "--help"])
         assert exc.value.code == 0
         flags = set(re.findall(r"--[\w-]+", capsys.readouterr().out))
-        assert flags == {"--help"} | common | extra.get(name, set()), name
+        assert flags == {"--help", "--config", "--out"} | reads[name], name
+        offered += len(flags - {"--help", "--config"})
+    assert offered == 27
+
+
+def test_config_file_sets_any_key(tmp_path):
+    # config_to_text writes every key, so a file written for one subcommand
+    # runs under another that ignores some of its keys
+    cfg_path = tmp_path / "evolve.cfg"
+    cfg_path.write_text(config_to_text(RunConfig(experiment="evolve", grid_n=8192, t=5.6)))
+    for name in ("sandwich", "backtrack"):
+        code, _ = run_cli([name, "--config", str(cfg_path)], tmp_path, name)
+        assert code == 0, name
+
+
+def _readme_key_table():
+    """(key, flag, subcommands) cells of each row of the README's key table."""
+    path = os.path.join(os.path.dirname(__file__), os.pardir, "README.md")
+    with open(path, encoding="utf-8") as fh:
+        lines = fh.read().splitlines()
+    start = lines.index("| key | value | flag | subcommands |") + 2
+    rows = []
+    for line in lines[start:]:
+        if not line.startswith("|"):
+            break
+        cells = [cell.strip() for cell in line.strip("|").split("|")]
+        rows.append((cells[0], cells[2], cells[3]))
+    return rows
+
+
+def test_readme_key_table_matches_keys():
+    flagged = {row.key: row for row in cli._KEYS if row.flag}
+    listed = set()
+    for key_cell, flag_cell, commands_cell in _readme_key_table():
+        if not flag_cell.startswith("`--"):
+            continue
+        (key,) = re.findall(r"`([^`]+)`", key_cell)
+        row = flagged[key]
+        assert flag_cell.startswith(f"`{row.flag}`"), key
+        commands = (
+            set(EXPERIMENTS) if commands_cell == "all"
+            else set(re.findall(r"`([^`]+)`", commands_cell))
+        )
+        assert commands == set(row.commands), key
+        listed.add(key)
+    assert listed == flagged.keys()
+
+
+def _json_numbers(value):
+    if isinstance(value, dict):
+        value = list(value.values())
+    if isinstance(value, list):
+        return [x for item in value for x in _json_numbers(item)]
+    return [value] if isinstance(value, (int, float)) and not isinstance(value, bool) else []
+
+
+@pytest.mark.parametrize("argv", [["meanfield", "--t", "0.55"], ["oracle-compare", "--t", "0.5"]])
+def test_in_region_times_run(argv, tmp_path):
+    # both times lie inside the field region of the subcommand's default
+    # apparatus (0.5-0.6 and 0.4975-0.5025)
+    code, out = run_cli(argv, tmp_path, "in")
+    assert code == 0
+    for path in sorted(out.iterdir()):
+        if path.suffix == ".csv":
+            values = np.loadtxt(path, delimiter=",", skiprows=1)
+        else:
+            values = np.array(_json_numbers(json.loads(path.read_text())), dtype=float)
+        assert values.size > 0 and np.isfinite(values).all(), path.name
 
 
 _FLAGS = sorted({row.flag.split(" ")[0] for row in cli._KEYS if row.flag})
@@ -517,7 +593,7 @@ def test_main_never_raises_on_any_argv(command, args):
         assert record["error"] == ("ConfigError" if code == 2 else "InvalidParameterError")
 
 
-@pytest.mark.parametrize("argv", [["evolve", "--gr", "8192"], ["evolve", "--se", "7"]])
+@pytest.mark.parametrize("argv", [["evolve", "--gr", "8192"], ["classical", "--se", "7"]])
 def test_abbreviated_flag_rejected(argv, tmp_path, capsys):
     assert main(argv + ["--out", str(tmp_path / "a")]) == 2
     (line,) = capsys.readouterr().err.splitlines()

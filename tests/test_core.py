@@ -39,8 +39,6 @@ def test_apparatus_ordering_enforced():
 def test_apparatus_derived_geometry(default_apparatus):
     assert default_apparatus.dy == 1.0
     assert default_apparatus.y_bar == 5.5
-    shifted = default_apparatus.translated(3.0)
-    assert shifted.y_b == 8.0 and shifted.grad_Bz == default_apparatus.grad_Bz
 
 
 def test_packet_requires_normalized_spinor():
@@ -59,12 +57,6 @@ def test_packet_rejects_non_finite_spinor(bad):
         GaussianPacket(chi_plus=bad)
     with pytest.raises(InvalidParameterError):
         GaussianPacket(chi_plus=1.0, chi_minus=bad)
-
-
-def test_with_spin_replaces_only_spinor(default_packet):
-    p = default_packet.with_spin(1.0, 0.0)
-    assert p.chi_plus == 1.0 and p.chi_minus == 0.0
-    assert p.sigma == default_packet.sigma and p.k_y == default_packet.k_y
 
 
 def test_derive_timing_hand_example():

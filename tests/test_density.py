@@ -37,7 +37,7 @@ def _field(chi=(None, None), t=3.0):
     app = Apparatus(0.0, 5.0, 6.0, 26.0, 100.0)
     pkt = GaussianPacket()
     if chi[0] is not None:
-        pkt = pkt.with_spin(*chi)
+        pkt = GaussianPacket(chi_plus=chi[0], chi_minus=chi[1])
     return evolve_packet(pkt, app, t)
 
 
@@ -158,7 +158,7 @@ def _coherence_by_quadrature(field):
 )
 def test_coherence_matches_quadrature(chi, grad, t):
     app = Apparatus(0.0, 5.0, 6.0, 26.0, grad)
-    field = evolve_packet(GaussianPacket().with_spin(*chi), app, t)
+    field = evolve_packet(GaussianPacket(chi_plus=chi[0], chi_minus=chi[1]), app, t)
     assert coherence_norm(field) == pytest.approx(
         _coherence_by_quadrature(field), rel=1e-12, abs=0.0
     )

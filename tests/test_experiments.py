@@ -239,7 +239,8 @@ def test_collapse_point_is_region_center(default_apparatus, default_packet):
 
 def test_collapse_point_translation_invariant(default_apparatus, default_packet):
     base = backtrack_collapse(default_packet, default_apparatus)
-    shifted_app = default_apparatus.translated(7.5)
+    a = default_apparatus
+    shifted_app = Apparatus(a.y_a + 7.5, a.y_b + 7.5, a.y_c + 7.5, a.y_d + 7.5, a.grad_Bz)
     shifted = backtrack_collapse(default_packet, shifted_app)
     assert shifted.y_collapse - base.y_collapse == pytest.approx(7.5, abs=1e-9)
 

@@ -11,7 +11,6 @@ from scipy.stats import chi2
 from sgsim import (
     Apparatus,
     Branch,
-    DomainError,
     GaussianPacket,
     derive_timing,
     dispersion_factor,
@@ -22,6 +21,7 @@ from sgsim import (
     spin_moment_average,
 )
 from sgsim.core import DEFAULT_UNITS
+from test_classical import _rk4_oracle
 
 
 def test_spin_moment_known_states():
@@ -93,9 +93,15 @@ def test_meanfield_density_is_normalized_gaussian(default_apparatus, default_pac
     assert var == pytest.approx(sd * sd, rel=1e-9)
 
 
-def test_meanfield_rejects_pre_exit_times(default_apparatus, default_packet):
-    with pytest.raises(DomainError):
-        meanfield_evolve(0.5, default_packet, default_apparatus, 0.55)
+@pytest.mark.parametrize("beta", [0.0, math.pi / 3, 2.0, math.pi])
+@pytest.mark.parametrize("t", [0.52, 0.55, 0.58])
+def test_meanfield_center_in_region_matches_rk4(default_apparatus, default_packet, beta, t):
+    # inside the region (t_b = 0.5, t_c = 0.6) the state is the same kicked
+    # factor, centered on the classical path of <mu_z> = -mu_b*cos(beta),
+    # here integrated independently
+    state = meanfield_evolve(beta, default_packet, default_apparatus, t)
+    z_ref, _ = _rk4_oracle(-math.cos(beta), default_apparatus, default_packet, t)
+    assert state.center_z == pytest.approx(z_ref, abs=1e-9)
 
 
 def test_field_average_matches_grid_quadrature(default_apparatus, default_packet):

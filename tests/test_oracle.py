@@ -172,9 +172,17 @@ def test_propagate_rejects_bad_time(default_apparatus, default_packet):
         propagate_packet(default_packet, default_apparatus, grid, 0.0)
 
 
-def test_compare_rejects_in_region_time(default_apparatus, default_packet):
-    with pytest.raises(DomainError):
-        compare_analytic_oracle(default_packet, default_apparatus, 0.55)
+@pytest.mark.parametrize("apparatus", ["default_apparatus", "impulsive_apparatus"])
+@pytest.mark.parametrize("frac", [0.2, 0.5, 0.9])
+def test_compare_inside_the_region(request, default_packet, apparatus, frac):
+    # strictly between t_b and t_c: the closed form holds there too, and the
+    # grid steps the same field schedule, cut at t_final
+    app = request.getfixturevalue(apparatus)
+    timing = derive_timing(app, default_packet)
+    t = timing.t_b + frac * (timing.t_c - timing.t_b)
+    rep = compare_analytic_oracle(default_packet, app, t)
+    assert max(rep.err_plus, rep.err_minus) < 1e-6
+    assert abs(rep.rel_phase_diff) < 1e-6
 
 
 def test_split_step_parameter_validation(default_apparatus, default_packet):
