@@ -3,8 +3,10 @@
 Config format: flat ``key = value`` lines with dotted section keys
 (``apparatus.y_b = 5.0``), '#' comments, later keys overriding earlier ones.
 Command-line flags override file values.  All numeric output uses 17
-significant digits, and every artifact is written atomically (temp file +
-rename), so identical config + seed gives byte-identical outputs.
+significant digits, so identical config + seed gives byte-identical outputs.
+Each experiment runner returns its artifacts as texts; ``run`` builds all of
+them before it writes any, each atomically (temp file + rename), so a run
+that fails writes no artifact.
 
 Exit codes: 0 success, 2 parse or usage error, 3 validation error,
 4 numeric/domain failure.  Failures also emit a machine-readable JSON error
@@ -277,10 +279,13 @@ def load_config(path: str, base: RunConfig | None = None) -> RunConfig:
 
 def write_atomic(path: str, text: str) -> None:
     directory = os.path.dirname(path) or "."
+    umask = os.umask(0)
+    os.umask(umask)
     fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-", text=True)
     try:
         with os.fdopen(fd, "w", encoding="utf-8", newline="\n") as fh:
             fh.write(text)
+        os.chmod(tmp, 0o666 & ~umask)  # open()'s mode; mkstemp gives 0o600
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
@@ -303,64 +308,58 @@ def _csv_text(header: list[str], rows) -> str:
 
 
 # ---------------------------------------------------------------------------
-# experiment runners (each returns a one-line summary)
+# experiment runners
+
+# A runner's result: its one-line summary and its artifacts, an ordered
+# mapping from file name to text whose first entry the summary line names.
+_Result = tuple[str, dict[str, str]]
 
 
-def _run_classical(cfg: RunConfig, out: str) -> str:
+def _run_classical(cfg: RunConfig) -> _Result:
     hist = classical.classical_ensemble(
         cfg.n, cfg.seed, cfg.apparatus, cfg.packet, cfg.bins, cfg.units
     )
     timing = derive_timing(cfg.apparatus, cfg.packet, cfg.units)
-    write_atomic(os.path.join(out, "histogram.csv"), hist.to_csv_text())
-    write_atomic(os.path.join(out, "histogram.json"), hist.to_json_text())
-    write_atomic(
-        os.path.join(out, "summary.json"),
-        _json_text({"experiment": "classical", "n": cfg.n, "seed": cfg.seed,
-                    "z_max": timing.z_max, "v_z": timing.v_z}),
-    )
-    return f"classical: n={cfg.n} z_max={_g(timing.z_max)} -> {out}/histogram.csv"
+    return f"classical: n={cfg.n} z_max={_g(timing.z_max)}", {
+        "histogram.csv": hist.to_csv_text(),
+        "histogram.json": hist.to_json_text(),
+        "summary.json": _json_text({"experiment": "classical", "n": cfg.n, "seed": cfg.seed,
+                                    "z_max": timing.z_max, "v_z": timing.v_z}),
+    }
 
 
 def _field_time(cfg: RunConfig) -> float:
     return cfg.t if cfg.t is not None else cfg.default_time()
 
 
-def _run_evolve(cfg: RunConfig, out: str) -> str:
+def _run_evolve(cfg: RunConfig) -> _Result:
     t = _field_time(cfg)
     fld = analytic.evolve_packet(cfg.packet, cfg.apparatus, t, cfg.units)
     grid = oracle.suggest_grid(cfg.packet, cfg.apparatus, t, cfg.grid_n, cfg.units)
     z = grid.points
     marginal = fld.z_marginal_density(z)
-    write_atomic(
-        os.path.join(out, "z_marginal.csv"),
-        _csv_text(["z", "density"], zip(z, marginal)),
-    )
     y_center = cfg.packet.source_y(cfg.apparatus) + fld.timing.v * fld.tau
     phi_p, phi_m = fld.sample_grid([0.0], [y_center], z)
     rows = zip(
         np.zeros_like(z), np.full_like(z, y_center), z,
         phi_p[0, 0].real, phi_p[0, 0].imag, phi_m[0, 0].real, phi_m[0, 0].imag,
     )
-    write_atomic(
-        os.path.join(out, "field_line.csv"),
-        _csv_text(["x", "y", "z", "re_phi_plus", "im_phi_plus",
-                   "re_phi_minus", "im_phi_minus"], rows),
-    )
     report = experiments.detect_bimodality(marginal, z)
-    write_atomic(
-        os.path.join(out, "summary.json"),
-        _json_text({
+    return f"evolve: t={_g(t)} peaks={report.peak_count}", {
+        "z_marginal.csv": _csv_text(["z", "density"], zip(z, marginal)),
+        "field_line.csv": _csv_text(["x", "y", "z", "re_phi_plus", "im_phi_plus",
+                                     "re_phi_minus", "im_phi_minus"], rows),
+        "summary.json": _json_text({
             "experiment": "evolve", "t": t,
             "peak_count": report.peak_count,
             "peak_positions": list(report.peak_positions),
             "expected_centers": [fld.branch_center(b) for b in Branch],
             "width": fld.width,
         }),
-    )
-    return f"evolve: t={_g(t)} peaks={report.peak_count} -> {out}/z_marginal.csv"
+    }
 
 
-def _run_density(cfg: RunConfig, out: str) -> str:
+def _run_density(cfg: RunConfig) -> _Result:
     t = _field_time(cfg)
     fld = analytic.evolve_packet(cfg.packet, cfg.apparatus, t, cfg.units)
     half = abs(fld.branch_center(Branch.PLUS)) + 6.0 * fld.width
@@ -372,58 +371,50 @@ def _run_density(cfg: RunConfig, out: str) -> str:
             z_values, rho[:, 0, 0].real, rho[:, 1, 1].real,
             rho[:, 0, 1].real, rho[:, 0, 1].imag, np.full_like(z_values, flag),
         ))
-    write_atomic(
-        os.path.join(out, "density_sweep.csv"),
-        _csv_text(["z", "rho_pp", "rho_mm", "re_rho_pm", "im_rho_pm",
-                   "collapse_free"], rows),
-    )
     coherence = density.coherence_norm(fld)
-    write_atomic(
-        os.path.join(out, "summary.json"),
-        _json_text({"experiment": "density", "t": t, "coherence_norm": coherence}),
-    )
-    return f"density: t={_g(t)} coherence={_g(coherence)} -> {out}/density_sweep.csv"
+    return f"density: t={_g(t)} coherence={_g(coherence)}", {
+        "density_sweep.csv": _csv_text(["z", "rho_pp", "rho_mm", "re_rho_pm",
+                                        "im_rho_pm", "collapse_free"], rows),
+        "summary.json": _json_text({"experiment": "density", "t": t,
+                                    "coherence_norm": coherence}),
+    }
 
 
-def _run_meanfield(cfg: RunConfig, out: str) -> str:
+def _run_meanfield(cfg: RunConfig) -> _Result:
     t = _field_time(cfg)
     hist = meanfield.meanfield_ensemble(
         cfg.n, cfg.seed, cfg.packet, cfg.apparatus, t, cfg.bins, cfg.units
     )
-    write_atomic(os.path.join(out, "histogram.csv"), hist.to_csv_text())
-    write_atomic(os.path.join(out, "histogram.json"), hist.to_json_text())
-    write_atomic(
-        os.path.join(out, "summary.json"),
-        _json_text({"experiment": "meanfield", "n": cfg.n, "seed": cfg.seed, "t": t}),
-    )
-    return f"meanfield: n={cfg.n} t={_g(t)} -> {out}/histogram.csv"
+    return f"meanfield: n={cfg.n} t={_g(t)}", {
+        "histogram.csv": hist.to_csv_text(),
+        "histogram.json": hist.to_json_text(),
+        "summary.json": _json_text({"experiment": "meanfield", "n": cfg.n,
+                                    "seed": cfg.seed, "t": t}),
+    }
 
 
-def _run_oracle_compare(cfg: RunConfig, out: str) -> str:
+def _run_oracle_compare(cfg: RunConfig) -> _Result:
     t = _field_time(cfg)
     grid = oracle.suggest_grid(cfg.packet, cfg.apparatus, t, cfg.grid_n, cfg.units)
     report = oracle.compare_analytic_oracle(
         cfg.packet, cfg.apparatus, t, grid, cfg.units, cfg.n_field_steps
     )
-    write_atomic(os.path.join(out, "report.json"), _json_text(report.to_json_dict()))
     state = report.state
     rows = zip(grid.points, state.psi_plus.real, state.psi_plus.imag,
                state.psi_minus.real, state.psi_minus.imag)
-    write_atomic(
-        os.path.join(out, "snapshot.csv"),
-        _csv_text(["z", "re_psi_plus", "im_psi_plus", "re_psi_minus",
-                   "im_psi_minus"], rows),
-    )
-    return (
-        f"oracle-compare: t={_g(t)} err_plus={_g(report.err_plus)} "
-        f"err_minus={_g(report.err_minus)} -> {out}/report.json"
-    )
+    summary = (f"oracle-compare: t={_g(t)} err_plus={_g(report.err_plus)} "
+               f"err_minus={_g(report.err_minus)}")
+    return summary, {
+        "report.json": _json_text(report.to_json_dict()),
+        "snapshot.csv": _csv_text(["z", "re_psi_plus", "im_psi_plus", "re_psi_minus",
+                                   "im_psi_minus"], rows),
+    }
 
 
-def _run_backtrack(cfg: RunConfig, out: str) -> str:
+def _run_backtrack(cfg: RunConfig) -> _Result:
     report = experiments.backtrack_collapse(cfg.packet, cfg.apparatus, units=cfg.units)
-    write_atomic(os.path.join(out, "report.json"), _json_text(report.to_json_dict()))
-    return f"backtrack: y_collapse={_g(report.y_collapse)} -> {out}/report.json"
+    return (f"backtrack: y_collapse={_g(report.y_collapse)}",
+            {"report.json": _json_text(report.to_json_dict())})
 
 
 def _reversal_stage(cfg: RunConfig) -> Apparatus:
@@ -436,27 +427,28 @@ def _reversal_stage(cfg: RunConfig) -> Apparatus:
     )
 
 
-def _run_recombine(cfg: RunConfig, out: str) -> str:
+def _run_recombine(cfg: RunConfig) -> _Result:
     stage2 = None if cfg.separated else _reversal_stage(cfg)
     result = experiments.recombine(
         cfg.packet, cfg.apparatus, stage2, cfg.phase_error, cfg.units
     )
-    write_atomic(os.path.join(out, "report.json"), _json_text(result.to_json_dict()))
-    return f"recombine: fidelity={_g(result.fidelity)} -> {out}/report.json"
+    return (f"recombine: fidelity={_g(result.fidelity)}",
+            {"report.json": _json_text(result.to_json_dict())})
 
 
-def _run_sandwich(cfg: RunConfig, out: str) -> str:
+def _run_sandwich(cfg: RunConfig) -> _Result:
     stack = experiments.LayerStack(
         tuple(experiments.Layer(*triple) for triple in cfg.layers)
     )
     t = _field_time(cfg)
     result = experiments.sandwich(cfg.packet, stack, t, bins=cfg.bins, units=cfg.units)
-    write_atomic(os.path.join(out, "histogram.csv"), result.histogram.to_csv_text())
-    write_atomic(os.path.join(out, "report.json"), _json_text(result.to_json_dict()))
-    return f"sandwich: peaks={result.peak_count} -> {out}/report.json"
+    return f"sandwich: peaks={result.peak_count}", {
+        "report.json": _json_text(result.to_json_dict()),
+        "histogram.csv": result.histogram.to_csv_text(),
+    }
 
 
-_RUNNERS = {
+_RUNNERS: dict[str, Callable[[RunConfig], _Result]] = {
     "classical": _run_classical,
     "evolve": _run_evolve,
     "density": _run_density,
@@ -477,15 +469,21 @@ def _output_dir(path: str) -> str:
 
 
 def run(config: RunConfig) -> int:
-    """Execute one configured experiment; returns the process exit code."""
+    """Execute one configured experiment, then write all of its artifacts;
+    returns the process exit code."""
     try:
+        out = _output_dir(config.out)
         with np.errstate(over="raise", invalid="raise"):
-            summary = _RUNNERS[config.experiment](config, _output_dir(config.out))
-    except FloatingPointError as exc:
+            summary, artifacts = _RUNNERS[config.experiment](config)
+    # numpy's FloatingPointError, or a Python float's OverflowError or
+    # ZeroDivisionError (a variance that underflows to 0)
+    except ArithmeticError as exc:
         return _fail(DomainError(f"numeric overflow or invalid operation: {exc}"))
     except SgSimError as exc:
         return _fail(exc)
-    print(summary)
+    for name, text in artifacts.items():
+        write_atomic(os.path.join(out, name), text)
+    print(f"{summary} -> {out}/{next(iter(artifacts))}")
     return EXIT_OK
 
 

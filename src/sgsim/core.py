@@ -141,12 +141,8 @@ class Timing:
     t_b: float
     t_c: float
     t_bar: float
-    dt: float
-    dy: float
     v: float
     v_z: float
-    L: float
-    T: float
     z_max: float
 
     def __post_init__(self) -> None:
@@ -162,8 +158,8 @@ def derive_timing(
     """Straight-line flight times and the field-induced kick quantities.
 
     v = hbar k_y / m; entry/exit times follow from uniform motion out of the
-    source; v_z is the impulsive kick speed and z_max = v_z * T the maximal
-    classical deflection at the detector.
+    source; v_z is the impulsive kick speed and z_max = |v_z| * (y_d - y_bar) / v
+    the maximal classical deflection at the detector.
     """
     v = units.hbar * packet.k_y / units.mass
     y0 = packet.source_y(apparatus)
@@ -173,16 +169,9 @@ def derive_timing(
         )
     t_b = packet.t_prime + (apparatus.y_b - y0) / v
     t_c = packet.t_prime + (apparatus.y_c - y0) / v
-    dy = apparatus.dy
-    dt = dy / v
     v_z = kick_velocity(apparatus, packet, units)
-    L = apparatus.y_d - apparatus.y_bar
-    T = L / v
-    z_max = abs(v_z) * T
-    return Timing(
-        t_b=t_b, t_c=t_c, t_bar=0.5 * (t_b + t_c), dt=dt, dy=dy, v=v,
-        v_z=v_z, L=L, T=T, z_max=z_max,
-    )
+    z_max = abs(v_z) * ((apparatus.y_d - apparatus.y_bar) / v)
+    return Timing(t_b=t_b, t_c=t_c, t_bar=0.5 * (t_b + t_c), v=v, v_z=v_z, z_max=z_max)
 
 
 def kick_velocity(

@@ -18,6 +18,7 @@ one loop that steps a state through such a schedule.
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 
@@ -272,15 +273,18 @@ class OracleComparison:
         }
 
 
-def _aligned_l2_error(psi: np.ndarray, target: np.ndarray, dz: float) -> float:
-    """Relative L2 distance after removing the global phase of best overlap."""
+def _aligned_l2_error(
+    psi: np.ndarray, target: np.ndarray, dz: float
+) -> tuple[float, complex]:
+    """Relative L2 distance after removing the global phase of best overlap,
+    and that overlap <target|psi>."""
     norm_t = math.sqrt(float(np.sum(np.abs(target) ** 2)) * dz)
     overlap = complex(np.vdot(target, psi) * dz)
     if norm_t < 1e-12 or abs(overlap) == 0.0:
-        return math.sqrt(float(np.sum(np.abs(psi - target) ** 2)) * dz)
+        return math.sqrt(float(np.sum(np.abs(psi - target) ** 2)) * dz), overlap
     phase = overlap / abs(overlap)
     diff = psi - phase * target
-    return math.sqrt(float(np.sum(np.abs(diff) ** 2)) * dz) / norm_t
+    return math.sqrt(float(np.sum(np.abs(diff) ** 2)) * dz) / norm_t, overlap
 
 
 def compare_analytic_oracle(
@@ -294,9 +298,11 @@ def compare_analytic_oracle(
     """Grid-propagate the packet and compare with the closed-form z marginals
     at any time t_final after emission, inside the field region or after it.
 
-    Errors are relative L2 per spin component with the global phase aligned;
-    rel_phase_diff is the inter-branch phase mismatch at the midpoint between
-    the two humps (physical, so no alignment is applied there).
+    Errors are relative L2 per spin component with the global phase aligned.
+    rel_phase_diff is the inter-branch phase mismatch, arg<target+|psi+> -
+    arg<target-|psi->, wrapped to (-pi, pi]; it is defined however far apart
+    the humps are.  A branch with no weight (a zero overlap) has no phase, and
+    rel_phase_diff is then 0.
     """
     if grid is None:
         grid = suggest_grid(packet, apparatus, t_final, units=units)
@@ -305,18 +311,12 @@ def compare_analytic_oracle(
     z = grid.points
     target_p = packet.chi_plus * field.z_marginal_amplitude(Branch.PLUS, z)
     target_m = packet.chi_minus * field.z_marginal_amplitude(Branch.MINUS, z)
-    err_p = _aligned_l2_error(state.psi_plus, target_p, grid.dz)
-    err_m = _aligned_l2_error(state.psi_minus, target_m, grid.dz)
-
-    mid = 0.5 * (field.branch_center(Branch.PLUS) + field.branch_center(Branch.MINUS))
-    idx = int(np.argmin(np.abs(z - mid)))
-    cross_grid = state.psi_plus[idx] * np.conj(state.psi_minus[idx])
-    cross_analytic = target_p[idx] * np.conj(target_m[idx])
-    if abs(cross_grid) > 0 and abs(cross_analytic) > 0:
-        raw = np.angle(cross_grid) - np.angle(cross_analytic)
-        phase_diff = float((raw + math.pi) % (2.0 * math.pi) - math.pi)
-    else:
-        phase_diff = math.nan
+    err_p, overlap_p = _aligned_l2_error(state.psi_plus, target_p, grid.dz)
+    err_m, overlap_m = _aligned_l2_error(state.psi_minus, target_m, grid.dz)
+    phase_diff = 0.0
+    if overlap_p != 0 and overlap_m != 0:
+        raw = cmath.phase(overlap_p) - cmath.phase(overlap_m)
+        phase_diff = math.pi - (math.pi - raw) % (2.0 * math.pi)
     analytic_norm = float(
         np.sum(np.abs(target_p) ** 2 + np.abs(target_m) ** 2) * grid.dz
     )

@@ -274,7 +274,7 @@ def test_acceptance_10_numerics_hygiene():
         pp = np.array(base.psi_plus, complex)
         pm = np.array(base.psi_minus, complex)
         pp, pm = _strang(pp, pm, cgrid, 0.0, timing.t_b / 4, 4, DEFAULT_UNITS)
-        return _strang(pp, pm, cgrid, APP.grad_Bz, timing.dt / n, n, DEFAULT_UNITS)
+        return _strang(pp, pm, cgrid, APP.grad_Bz, APP.dy / timing.v / n, n, DEFAULT_UNITS)
 
     def l2(a, b):
         return math.sqrt(

@@ -147,7 +147,7 @@ def test_kernel_propagates_packet_to_closed_form(
     # the kernel omits two phases common to both branches (see path_integral)
     m, hbar = DEFAULT_UNITS.mass, DEFAULT_UNITS.hbar
     omitted = cmath.exp(1j * m * timing.v_z ** 2 / (2.0 * hbar) * (
-        timing.dt / 6.0
+        default_apparatus.dy / timing.v / 6.0
         - (t - timing.t_bar) * (timing.t_bar - default_packet.t_prime)
         / (t - default_packet.t_prime)
     ))

@@ -69,7 +69,8 @@ def test_region_displacement_second_order(default_apparatus, default_packet):
     timing = derive_timing(default_apparatus, default_packet)
     mu_z = 0.8
     at_exit = classical_trajectory(mu_z, default_apparatus, default_packet, timing.t_c)
-    expected = 0.5 * mu_z * default_apparatus.grad_Bz * timing.dt**2
+    dt = default_apparatus.dy / timing.v
+    expected = 0.5 * mu_z * default_apparatus.grad_Bz * dt**2
     assert at_exit.z == pytest.approx(expected, rel=1e-14)
 
 

@@ -2,13 +2,16 @@ import io
 import json
 import math
 import os
+import pathlib
 import re
+import tempfile
 from contextlib import redirect_stderr, redirect_stdout
+from dataclasses import replace
 from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from sgsim import cli, oracle
@@ -415,6 +418,27 @@ def test_nan_spinor_config_rejected(tmp_path, capsys):
     assert json.loads(err)["error"] == "InvalidParameterError"
 
 
+@pytest.mark.parametrize("chi", [("1+0j", "0+0j"), ("0+0j", "1+0j")])
+def test_oracle_compare_pure_spin(chi, tmp_path):
+    # one branch has no weight, so no inter-branch phase: rel_phase_diff is 0
+    cfg_path = tmp_path / "pure.cfg"
+    cfg_path.write_text(f"packet.chi_plus = {chi[0]}\npacket.chi_minus = {chi[1]}\n")
+    code, out = run_cli(["oracle-compare", "--config", str(cfg_path)], tmp_path, "o")
+    assert code == 0
+    assert json.loads((out / "report.json").read_text())["rel_phase_diff"] == 0.0
+
+
+@pytest.mark.parametrize("umask", [0o022, 0o077])
+def test_artifacts_get_the_umask_mode(umask, tmp_path):
+    old = os.umask(umask)
+    try:
+        code, out = run_cli(["backtrack"], tmp_path, "b")
+    finally:
+        os.umask(old)
+    assert code == 0
+    assert os.stat(out / "report.json").st_mode & 0o777 == 0o666 & ~umask
+
+
 def test_oracle_compare_propagates_once(tmp_path, monkeypatch):
     calls = []
     propagate = oracle.propagate_packet
@@ -493,25 +517,25 @@ def test_config_file_sets_any_key(tmp_path):
         assert code == 0, name
 
 
-def _readme_key_table():
-    """(key, flag, subcommands) cells of each row of the README's key table."""
+def _readme_table(header):
+    """Cells of each row of the README table whose header line is header."""
     path = os.path.join(os.path.dirname(__file__), os.pardir, "README.md")
     with open(path, encoding="utf-8") as fh:
         lines = fh.read().splitlines()
-    start = lines.index("| key | value | flag | subcommands |") + 2
     rows = []
-    for line in lines[start:]:
+    for line in lines[lines.index(header) + 2:]:
         if not line.startswith("|"):
             break
-        cells = [cell.strip() for cell in line.strip("|").split("|")]
-        rows.append((cells[0], cells[2], cells[3]))
+        rows.append([cell.strip() for cell in line.strip("|").split("|")])
     return rows
 
 
 def test_readme_key_table_matches_keys():
     flagged = {row.key: row for row in cli._KEYS if row.flag}
     listed = set()
-    for key_cell, flag_cell, commands_cell in _readme_key_table():
+    for key_cell, _, flag_cell, commands_cell in _readme_table(
+        "| key | value | flag | subcommands |"
+    ):
         if not flag_cell.startswith("`--"):
             continue
         (key,) = re.findall(r"`([^`]+)`", key_cell)
@@ -524,6 +548,20 @@ def test_readme_key_table_matches_keys():
         assert commands == set(row.commands), key
         listed.add(key)
     assert listed == flagged.keys()
+
+
+def test_readme_artifact_table_matches_runners():
+    # each runner at small sizes: the files it returns, in writing order
+    listed = {}
+    for command_cell, files_cell in _readme_table("| subcommand | artifacts, in writing order |"):
+        (command,) = re.findall(r"`([^`]+)`", command_cell)
+        listed[command] = re.findall(r"`([^`]+)`", files_cell)
+    returned = {}
+    for name in EXPERIMENTS:
+        cfg = replace(default_config(name), n=500, grid_n=512, n_field_steps=4)
+        _, artifacts = cli._RUNNERS[name](cfg)
+        returned[name] = list(artifacts)
+    assert listed == returned
 
 
 def _json_numbers(value):
@@ -591,6 +629,73 @@ def test_main_never_raises_on_any_argv(command, args):
         record = json.loads(line)
         assert set(record) == {"error", "message"}
         assert record["error"] == ("ConfigError" if code == 2 else "InvalidParameterError")
+
+
+# Small sizes, so that every experiment runs in milliseconds; the drawn
+# overrides below follow them in the config file and win.
+_SMALL = "run.n = 500\nrun.bins = 16\ngrid.n_points = 512\noracle.n_field_steps = 4\n"
+_EXTREMES = {
+    "run.n": ["1", "2000"],
+    "run.bins": ["2", "200"],
+    "grid.n_points": ["256", "1024", "300"],
+    "oracle.n_field_steps": ["1", "16"],
+    "run.t": ["-1", "0", "1e-300", "0.5", "0.55", "5.6", "100", "1e8", "1e300"],
+    "apparatus.grad_Bz": ["0", "1e-300", "-100", "1e8", "1e160", "-1e300"],
+    "apparatus.y_d": ["6.5", "1e6", "1e300"],
+    "packet.sigma": ["1e-300", "1e-8", "0.1", "30", "1e8", "1e300", "0"],
+    "packet.k_y": ["1e-300", "1e-3", "1", "1e6", "1e160", "1e300", "-5"],
+    "packet.t_prime": ["-1e300", "-3", "1e300"],
+    "sandwich.layers": ["", "5:6:1e160", "5:6:-1e300", "4:5:100;5:6:-100", "0:1e300:1",
+                        "-1e300:6:100", "6:5:100", "5:6:0;7:8:1e-300"],
+    "recombine.phase_error": ["1e300", "-3.14"],
+    "recombine.gap": ["0", "1e-300", "1", "1e300"],
+    "recombine.separated": ["true"],
+}
+_SPINS = [("1+0j", "0+0j"), ("0+0j", "1+0j"), ("0.6+0j", "0+0.8j"),
+          ("1e-200+0j", "1+0j"), ("0.1+0j", "0.99498743710662+0j"), ("2+0j", "0+0j")]
+
+
+def _artifact_values(path):
+    text = path.read_text()
+    if path.suffix == ".csv":
+        return [float(v) for line in text.splitlines()[1:] for v in line.split(",")]
+    return _json_numbers(json.loads(text))
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    experiment=st.sampled_from(EXPERIMENTS),
+    overrides=st.fixed_dictionaries(
+        {}, optional={key: st.sampled_from(values) for key, values in _EXTREMES.items()}
+    ),
+    spin=st.none() | st.sampled_from(_SPINS),
+)
+@example(experiment="evolve", overrides={"packet.k_y": "1e160"}, spin=None)
+def test_main_runs_any_config_to_a_whole_result(experiment, overrides, spin):
+    # every experiment really runs: it exits 0 with only finite artifacts and
+    # a silent stderr, or fails with one JSON line and writes no artifact
+    if spin is not None:
+        overrides = dict(overrides, **{"packet.chi_plus": spin[0], "packet.chi_minus": spin[1]})
+    text = _SMALL + "".join(f"{key} = {value}\n" for key, value in overrides.items())
+    with tempfile.TemporaryDirectory() as tmp:
+        cfg_path = os.path.join(tmp, "run.cfg")
+        with open(cfg_path, "w", encoding="utf-8") as fh:
+            fh.write(text)
+        out = pathlib.Path(tmp, "out")
+        err, summary = io.StringIO(), io.StringIO()
+        with redirect_stderr(err), redirect_stdout(summary):
+            code = main([experiment, "--config", cfg_path, "--out", str(out)])
+        assert code in (0, 2, 3, 4), text
+        if code == 0:
+            assert err.getvalue() == "", text
+            # the summary line names the first artifact
+            assert os.path.isfile(summary.getvalue().rstrip("\n").rsplit(" -> ", 1)[1])
+            for path in out.iterdir():
+                assert np.isfinite(_artifact_values(path)).all(), (path.name, text)
+        else:
+            (line,) = err.getvalue().splitlines()
+            assert set(json.loads(line)) == {"error", "message"}, text
+            assert not out.exists() or os.listdir(out) == [], text
 
 
 @pytest.mark.parametrize("argv", [["evolve", "--gr", "8192"], ["classical", "--se", "7"]])

@@ -69,7 +69,6 @@ def test_derive_timing_hand_example():
     assert timing.t_c == pytest.approx(0.6)
     assert timing.t_bar == pytest.approx(0.55)
     assert kick_velocity(app, pkt) == pytest.approx(0.2)
-    assert timing.T == pytest.approx(2.0)
     assert timing.z_max == pytest.approx(0.4)
 
 
@@ -121,5 +120,5 @@ def test_zmax_two_computations_agree(y_b, dy, tail, grad, k_y):
     timing = derive_timing(app, pkt, units)
     p_y = units.hbar * pkt.k_y
     dtheta = units.mass * timing.v_z / p_y
-    lhs = abs(timing.L * dtheta)
+    lhs = abs((app.y_d - app.y_bar) * dtheta)
     assert lhs == pytest.approx(timing.z_max, rel=1e-12, abs=1e-300)

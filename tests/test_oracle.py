@@ -112,7 +112,7 @@ def test_second_order_convergence(default_apparatus, default_packet):
         psi_p, psi_m = _strang(psi_p, psi_m, grid, 0.0, timing.t_b / 4, 4, DEFAULT_UNITS)
         return _strang(
             psi_p, psi_m, grid, default_apparatus.grad_Bz,
-            timing.dt / n_region, n_region, DEFAULT_UNITS,
+            default_apparatus.dy / timing.v / n_region, n_region, DEFAULT_UNITS,
         )
 
     def l2(a, b):
@@ -183,6 +183,26 @@ def test_compare_inside_the_region(request, default_packet, apparatus, frac):
     rep = compare_analytic_oracle(default_packet, app, t)
     assert max(rep.err_plus, rep.err_minus) < 1e-6
     assert abs(rep.rel_phase_diff) < 1e-6
+
+
+@pytest.mark.parametrize("t", [1.4, 2.6, 6.0])
+def test_rel_phase_diff_between_separated_humps(default_apparatus, default_packet, t):
+    # at these times both amplitudes are below rounding midway between the
+    # humps, so a phase read there is noise (-3.75e-10, 1.12e-3, -0.285 rad);
+    # the aligned overlaps take it from the whole humps
+    grid = suggest_grid(default_packet, default_apparatus, t, 8192)
+    rep = compare_analytic_oracle(default_packet, default_apparatus, t, grid)
+    assert max(rep.err_plus, rep.err_minus) < 1e-6
+    assert abs(rep.rel_phase_diff) < 1e-6
+
+
+@pytest.mark.parametrize("chi", [(1 + 0j, 0j), (0j, 1 + 0j)])
+def test_rel_phase_diff_of_a_pure_spin_is_zero(impulsive_apparatus, chi):
+    # a branch with no weight has no phase to compare
+    packet = GaussianPacket(chi_plus=chi[0], chi_minus=chi[1])
+    rep = compare_analytic_oracle(packet, impulsive_apparatus, 1.0)
+    assert rep.rel_phase_diff == 0.0
+    assert max(rep.err_plus, rep.err_minus) < 1e-6
 
 
 def test_split_step_parameter_validation(default_apparatus, default_packet):
