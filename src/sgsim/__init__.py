@@ -24,9 +24,11 @@ from .classical import (
     deflection,
 )
 from .analytic import (
+    Grid1D,
     SpinorField,
     dispersion_factor,
     evolve_packet,
+    suggest_grid,
 )
 from .density import coherence_norm, density_sweep
 from .meanfield import (
@@ -37,13 +39,11 @@ from .meanfield import (
     spin_moment_average,
 )
 from .oracle import (
-    Grid1D,
     GridState,
     OracleComparison,
     compare_analytic_oracle,
     propagate,
     propagate_packet,
-    suggest_grid,
 )
 from .experiments import (
     BimodalityReport,

@@ -13,6 +13,12 @@ On each segment of a field schedule p is linear, q quadratic and S cubic in
 time, so the form holds at every time, inside a field region or after it;
 the grid propagator (:mod:`sgsim.oracle`) is its independent check.
 
+A ``Grid1D`` is where the form is sampled: ``schedule_grid`` sizes one to
+hold both branches at the end of a schedule, from the drift |q| and the
+width sigma*|f|, and ``Grid1D.check_extent`` refuses a sampled density above
+EDGE_TOL of its peak at either edge.  ``sandwich``, ``evolve`` and the oracle
+share them.
+
 Phase conventions: all complex square roots take the principal branch.  The
 dispersion factor f(tau) = 1 + i*hbar*tau/(m*sigma^2) has unit real part
 for tau >= 0, so the principal branch is continuous along the whole time
@@ -41,12 +47,17 @@ from .core import (
     derive_timing,
     kick_integrals,
 )
-from .errors import InvalidParameterError
+from .errors import DomainError, ExtentError, InvalidParameterError
+
+EDGE_TOL = 1e-10  # max tolerated relative density at a grid's edge
 
 
 def dispersion_factor(tau: float, sigma: float, units: UnitSystem = DEFAULT_UNITS) -> complex:
     """f(tau) = 1 + i*hbar*tau/(m*sigma^2); |f| is the width-growth factor."""
-    return 1.0 + 1j * units.hbar * tau / (units.mass * sigma * sigma)
+    m_sigma2 = units.mass * sigma * sigma
+    if m_sigma2 == 0.0:
+        raise DomainError(f"m*sigma^2 underflows to 0 at sigma = {sigma}")
+    return 1.0 + 1j * units.hbar * tau / m_sigma2
 
 
 def kicked_factor(
@@ -115,7 +126,7 @@ class SpinorField:
 
     def _norm_1d(self) -> complex:
         sigma = self.packet.sigma
-        return (math.pi * sigma * sigma) ** -0.25 * self.f ** -0.5
+        return self.f ** -0.5 * (math.pi * sigma * sigma) ** -0.25
 
     def x_factor(self, x):
         sigma = self.packet.sigma
@@ -150,8 +161,12 @@ class SpinorField:
         hbar, w = self.units.hbar, self.width
         ds = s2 - s1
         d, k = ds * q, ds * p / hbar
+        try:
+            mismatch = (k * w - self.f.imag * d / w) ** 2
+        except OverflowError as exc:
+            raise DomainError(f"branch overlap exponent overflows: {exc}") from exc
         return cmath.exp(
-            -d * d / (4.0 * w * w) - (k * w - self.f.imag * d / w) ** 2 / 4.0
+            -d * d / (4.0 * w * w) - mismatch / 4.0
             + 1j * (s2 * s2 - s1 * s1) * (0.5 * p * q - action) / hbar
         )
 
@@ -198,4 +213,73 @@ def evolve_packet(
         packet=packet, apparatus=apparatus,
         timing=derive_timing(apparatus, packet, units), units=units, t=t,
         kicks=kick_integrals(apparatus_schedule(apparatus, packet, t, units), t, units),
+    )
+
+
+@dataclass(frozen=True)
+class Grid1D:
+    """Uniform periodic z grid with a power-of-two point count."""
+
+    z_min: float
+    z_max: float
+    n_points: int
+
+    def __post_init__(self) -> None:
+        if self.n_points < 256 or self.n_points & (self.n_points - 1):
+            raise InvalidParameterError(
+                f"n_points must be a power of two >= 256, got {self.n_points}"
+            )
+        if not self.z_min < self.z_max:
+            raise InvalidParameterError("grid extent must satisfy z_min < z_max")
+
+    @property
+    def dz(self) -> float:
+        return (self.z_max - self.z_min) / self.n_points
+
+    @property
+    def points(self) -> np.ndarray:
+        return self.z_min + self.dz * np.arange(self.n_points)
+
+    @property
+    def wavenumbers(self) -> np.ndarray:
+        return 2.0 * math.pi * np.fft.fftfreq(self.n_points, self.dz)
+
+    def check_extent(self, density: np.ndarray) -> None:
+        """Raise ExtentError when the (non-negative) density sampled on the
+        points exceeds EDGE_TOL of its peak at either end of the grid."""
+        peak = float(density.max())
+        edge = max(float(density[0]), float(density[-1]))
+        if edge > EDGE_TOL * peak:
+            raise ExtentError(
+                f"wave function touches the grid boundary (edge/peak = {edge / peak:.3e}); "
+                "enlarge the grid extent"
+            )
+
+
+def schedule_grid(
+    packet: GaussianPacket,
+    schedule: list[tuple[float, float, float]],
+    n_points: int = 4096,
+    units: UnitSystem = DEFAULT_UNITS,
+) -> Grid1D:
+    """Symmetric grid holding both branches at the end of ``schedule``: a
+    quarter more than the branch drift |q| plus 8 final amplitude widths, so
+    at least 10 widths (e^-100 of the peak density) lie past each center."""
+    t_final = schedule[-1][1]
+    q = kick_integrals(schedule, t_final, units)[1]
+    f = dispersion_factor(t_final - packet.t_prime, packet.sigma, units)
+    half = 1.25 * (abs(q) + 8.0 * packet.sigma * abs(f))
+    return Grid1D(z_min=-half, z_max=half, n_points=n_points)
+
+
+def suggest_grid(
+    packet: GaussianPacket,
+    apparatus: Apparatus,
+    t_final: float,
+    n_points: int = 4096,
+    units: UnitSystem = DEFAULT_UNITS,
+) -> Grid1D:
+    """``schedule_grid`` of the packet's flight through the apparatus."""
+    return schedule_grid(
+        packet, apparatus_schedule(apparatus, packet, t_final, units), n_points, units
     )

@@ -335,7 +335,7 @@ def _field_time(cfg: RunConfig) -> float:
 def _run_evolve(cfg: RunConfig) -> _Result:
     t = _field_time(cfg)
     fld = analytic.evolve_packet(cfg.packet, cfg.apparatus, t, cfg.units)
-    grid = oracle.suggest_grid(cfg.packet, cfg.apparatus, t, cfg.grid_n, cfg.units)
+    grid = analytic.suggest_grid(cfg.packet, cfg.apparatus, t, cfg.grid_n, cfg.units)
     z = grid.points
     marginal = fld.z_marginal_density(z)
     y_center = cfg.packet.source_y(cfg.apparatus) + fld.timing.v * fld.tau
@@ -395,7 +395,7 @@ def _run_meanfield(cfg: RunConfig) -> _Result:
 
 def _run_oracle_compare(cfg: RunConfig) -> _Result:
     t = _field_time(cfg)
-    grid = oracle.suggest_grid(cfg.packet, cfg.apparatus, t, cfg.grid_n, cfg.units)
+    grid = analytic.suggest_grid(cfg.packet, cfg.apparatus, t, cfg.grid_n, cfg.units)
     report = oracle.compare_analytic_oracle(
         cfg.packet, cfg.apparatus, t, grid, cfg.units, cfg.n_field_steps
     )
@@ -422,7 +422,7 @@ def _reversal_stage(cfg: RunConfig) -> Apparatus:
     gap = cfg.stage_gap * a.dy
     y_b2 = a.y_c + gap
     return Apparatus(
-        y_a=a.y_c + 0.5 * gap, y_b=y_b2, y_c=y_b2 + a.dy,
+        y_a=a.y_a, y_b=y_b2, y_c=y_b2 + a.dy,
         y_d=y_b2 + a.dy + (a.y_d - a.y_c), grad_Bz=-a.grad_Bz,
     )
 

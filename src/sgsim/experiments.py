@@ -8,7 +8,8 @@ factors of the two branches (kicked by -+v_z while the beams stay separated,
 unkicked after a perfect reversal), with an injectable relative phase error
 modeling imperfect phase maintenance.
 The multilayer sandwich samples the exact closed form of each branch on its
-field schedule (:mod:`sgsim.analytic`) at the points of a grid.
+field schedule (:mod:`sgsim.analytic`) at the points of a grid, sized and
+edge-checked there too; nothing here steps or stores a grid state.
 The "significantly greater" split condition is operationalized by the peak
 detector; the dimensionless kick strength kappa = mu_b*B'*dt*sigma/hbar is
 reported alongside so users can calibrate.
@@ -22,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .analytic import evolve_packet, kicked_factor
+from .analytic import Grid1D, evolve_packet, kicked_factor, schedule_grid
 from .classical import Histogram
 from .core import (
     Apparatus,
@@ -43,7 +44,6 @@ from .errors import (
     InvalidParameterError,
     NoSplitError,
 )
-from .oracle import Grid1D, GridState, schedule_grid
 
 _NOMINAL_COUNTS = 1_000_000  # scale for converting grid probability mass to counts
 
@@ -359,7 +359,8 @@ class SandwichResult:
     peak_count: int
     report: BimodalityReport
     kappas: tuple[float, ...]
-    state: GridState
+    grid: Grid1D
+    density: np.ndarray
 
     def to_json_dict(self) -> dict:
         return {
@@ -384,12 +385,13 @@ def sandwich(
     layers: LayerStack,
     t_final: float,
     grid: Grid1D | None = None,
-    y_source: float = 0.0,
     bins: int = 128,
     units: UnitSystem = DEFAULT_UNITS,
 ) -> SandwichResult:
-    """Sample the closed-form state after the layer stack on the grid points
-    and count the resolved peaks in the final z density."""
+    """Sample the closed-form z density after the layer stack on the grid
+    points and count its resolved peaks.  The beam starts at the y of
+    ``packet.source``, or at y = 0 when the packet sets no source."""
+    y_source = packet.source[1] if packet.source is not None else 0.0
     v = units.hbar * packet.k_y / units.mass
     windows = [
         (packet.t_prime + (layer.y_start - y_source) / v,
@@ -407,17 +409,13 @@ def sandwich(
 
     kicks = kick_integrals(schedule, t_final, units)
     z = grid.points
-    final = GridState(
-        grid=grid,
-        psi_plus=packet.chi_plus * kicked_factor(
-            packet, kicks, t_final, Branch.PLUS.deflection_sign, z, units),
-        psi_minus=packet.chi_minus * kicked_factor(
-            packet, kicks, t_final, Branch.MINUS.deflection_sign, z, units),
-        t=t_final,
+    density = (
+        np.abs(packet.chi_plus * kicked_factor(
+            packet, kicks, t_final, Branch.PLUS.deflection_sign, z, units)) ** 2
+        + np.abs(packet.chi_minus * kicked_factor(
+            packet, kicks, t_final, Branch.MINUS.deflection_sign, z, units)) ** 2
     )
-    final.check_extent()
-
-    density = final.density()
+    grid.check_extent(density)
     report = detect_bimodality(density, z)
 
     edges = np.linspace(grid.z_min, grid.z_max, bins + 1)
@@ -430,5 +428,6 @@ def sandwich(
         peak_count=report.peak_count,
         report=report,
         kappas=kappas,
-        state=final,
+        grid=grid,
+        density=density,
     )

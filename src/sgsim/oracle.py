@@ -13,7 +13,9 @@ branch feels a force toward -z).  The kinetic step is exact on the grid and
 unitary; the potential step is a pure phase, so the norm is conserved to
 rounding.  ``core.field_schedule`` cuts the time axis at every window edge,
 so the abrupt field never needs sub-step blending, and ``propagate`` is the
-one loop that steps a state through such a schedule.
+one loop that steps a state through such a schedule.  The grid, its sizer
+and its position edge test are the closed form's (``analytic.Grid1D``,
+``analytic.suggest_grid``); the spectral-edge test reuses their tolerance.
 """
 
 from __future__ import annotations
@@ -24,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .analytic import dispersion_factor, evolve_packet
+from .analytic import EDGE_TOL, Grid1D, evolve_packet, suggest_grid
 from .core import (
     Apparatus,
     Branch,
@@ -32,41 +34,10 @@ from .core import (
     GaussianPacket,
     UnitSystem,
     apparatus_schedule,
-    kick_integrals,
 )
 from .errors import ExtentError, InvalidParameterError
 
-_EDGE_TOL = 1e-10  # max tolerated relative density at the grid boundary
 _FREE_STEPS = 16  # Strang steps per free segment (the kinetic step is exact there)
-
-
-@dataclass(frozen=True)
-class Grid1D:
-    """Uniform periodic z grid with a power-of-two point count."""
-
-    z_min: float
-    z_max: float
-    n_points: int
-
-    def __post_init__(self) -> None:
-        if self.n_points < 256 or self.n_points & (self.n_points - 1):
-            raise InvalidParameterError(
-                f"n_points must be a power of two >= 256, got {self.n_points}"
-            )
-        if not self.z_min < self.z_max:
-            raise InvalidParameterError("grid extent must satisfy z_min < z_max")
-
-    @property
-    def dz(self) -> float:
-        return (self.z_max - self.z_min) / self.n_points
-
-    @property
-    def points(self) -> np.ndarray:
-        return self.z_min + self.dz * np.arange(self.n_points)
-
-    @property
-    def wavenumbers(self) -> np.ndarray:
-        return 2.0 * math.pi * np.fft.fftfreq(self.n_points, self.dz)
 
 
 @dataclass(frozen=True)
@@ -101,7 +72,7 @@ class GridState:
             psi_minus=packet.chi_minus * envelope,
             t=packet.t_prime,
         )
-        state.check_extent()
+        grid.check_extent(state.density())
         return state
 
     def density(self) -> np.ndarray:
@@ -109,18 +80,6 @@ class GridState:
 
     def norm(self) -> float:
         return float(self.grid.dz * self.density().sum())
-
-    def check_extent(self) -> None:
-        rho = self.density()
-        peak = float(rho.max())
-        if peak == 0.0:
-            return
-        edge = max(float(rho[0]), float(rho[-1]))
-        if edge > _EDGE_TOL * peak:
-            raise ExtentError(
-                f"wave function touches the grid boundary (edge/peak = {edge / peak:.3e}); "
-                "enlarge the grid extent"
-            )
 
     def mean_z(self) -> tuple[float, float]:
         """Norm-weighted <z> per component (nan for an empty component)."""
@@ -177,7 +136,7 @@ def propagate(
     spectrum = np.abs(np.fft.fft(psi_p)) ** 2 + np.abs(np.fft.fft(psi_m)) ** 2
     peak = float(spectrum.max())
     if peak > 0.0:
-        k_held = float(np.abs(grid.wavenumbers[spectrum > _EDGE_TOL * peak]).max())
+        k_held = float(np.abs(grid.wavenumbers[spectrum > EDGE_TOL * peak]).max())
         kicks = np.cumsum([units.mu_b * g * (t1 - t0) / units.hbar
                            for t0, t1, g in schedule])
         k_reach = k_held + float(np.abs(kicks).max(initial=0.0))
@@ -198,7 +157,7 @@ def propagate(
         psi_p, psi_m = _strang(psi_p, psi_m, grid, grad, (t1 - t0) / n, n, units)
     t = schedule[-1][1] if schedule else state.t
     out = GridState(grid=grid, psi_plus=psi_p, psi_minus=psi_m, t=t)
-    out.check_extent()
+    grid.check_extent(out.density())
     return out
 
 
@@ -215,35 +174,6 @@ def propagate_packet(
     state = GridState.from_packet(packet, grid, units)
     return propagate(
         state, apparatus_schedule(apparatus, packet, t_final, units), n_field_steps, units
-    )
-
-
-def schedule_grid(
-    packet: GaussianPacket,
-    schedule: list[tuple[float, float, float]],
-    n_points: int = 4096,
-    units: UnitSystem = DEFAULT_UNITS,
-) -> Grid1D:
-    """Symmetric grid holding both branches at the end of ``schedule``: a
-    quarter more than the branch drift |q| plus 8 final amplitude widths, so
-    at least 10 widths (e^-100 of the peak density) lie past each center."""
-    t_final = schedule[-1][1]
-    q = kick_integrals(schedule, t_final, units)[1]
-    f = dispersion_factor(t_final - packet.t_prime, packet.sigma, units)
-    half = 1.25 * (abs(q) + 8.0 * packet.sigma * abs(f))
-    return Grid1D(z_min=-half, z_max=half, n_points=n_points)
-
-
-def suggest_grid(
-    packet: GaussianPacket,
-    apparatus: Apparatus,
-    t_final: float,
-    n_points: int = 4096,
-    units: UnitSystem = DEFAULT_UNITS,
-) -> Grid1D:
-    """``schedule_grid`` of the packet's flight through the apparatus."""
-    return schedule_grid(
-        packet, apparatus_schedule(apparatus, packet, t_final, units), n_points, units
     )
 
 

@@ -19,6 +19,7 @@ from sgsim import (
     dispersion_factor,
     evolve_packet,
     propagate,
+    suggest_grid,
 )
 from sgsim.analytic import kick_integrals, kicked_factor
 from sgsim.core import DEFAULT_UNITS, field_schedule
@@ -132,6 +133,18 @@ def test_kernel_params_domain_checks():
         ZKernelParams(t=1.0, t_prime=1.0, t_bar=1.0, v_z=1.0, branch=Branch.PLUS)
     with pytest.raises(DomainError):
         ZKernelParams(t=1.0, t_prime=0.0, t_bar=2.0, v_z=1.0, branch=Branch.PLUS)
+
+
+def test_underflowing_width_is_a_domain_error(default_apparatus):
+    # sigma = 1e-300 is a valid packet, but m*sigma^2 underflows to 0
+    packet = GaussianPacket(sigma=1e-300)
+    field = evolve_packet(packet, default_apparatus, 5.6)
+    with pytest.raises(DomainError, match="underflows"):
+        field.z_marginal_density(np.zeros(3))
+    with pytest.raises(DomainError, match="underflows"):
+        field.x_factor(np.zeros(3))
+    with pytest.raises(DomainError, match="underflows"):
+        suggest_grid(packet, default_apparatus, 5.6)
 
 
 def test_kernel_propagates_packet_to_closed_form(

@@ -264,6 +264,15 @@ def test_recombine_reports(tmp_path):
     )
 
 
+def test_recombine_gap_zero(tmp_path):
+    # the reversal stage starts where stage 1 ends; its source is stage 1's
+    code, out = run_cli(["recombine", "--gap", "0"], tmp_path, "g")
+    assert code == 0
+    assert json.loads((out / "report.json").read_text())["fidelity"] == pytest.approx(
+        1.0, abs=1e-6
+    )
+
+
 def test_sandwich_layers_flag(tmp_path):
     code, out = run_cli(
         ["sandwich", "--layers", "5:6:1", "--t", "5.6"], tmp_path, "s"

@@ -214,7 +214,7 @@ def test_peak_finder_matches_scipy_on_sandwich_densities(sigma, grad, t_final, n
         f = dispersion_factor(t_final, sigma)
         half = 1.25 * (0.1 * grad * (t_final - 0.55) + 8 * sigma * abs(f)) + sigma
         grid = Grid1D(-half, half, n_points)
-    grid = sandwich(pkt, LayerStack((Layer(5.0, 6.0, grad),)), t_final, grid=grid).state.grid
+    grid = sandwich(pkt, LayerStack((Layer(5.0, 6.0, grad),)), t_final, grid=grid).grid
     schedule = field_schedule(0.0, t_final, [(0.5, 0.6, grad)])  # beam speed 10
     density = propagate(GridState.from_packet(pkt, grid), schedule, 128).density()
     coordinates = grid.points
@@ -286,7 +286,7 @@ def test_backtrack_with_measured_centroids(default_apparatus, default_packet):
 def _reversal(stage1: Apparatus, gap: float = 1e-4) -> Apparatus:
     y_b2 = stage1.y_c + gap * stage1.dy
     return Apparatus(
-        y_a=stage1.y_c + 0.5 * gap * stage1.dy,
+        y_a=stage1.y_a,
         y_b=y_b2,
         y_c=y_b2 + stage1.dy,
         y_d=y_b2 + stage1.dy + (stage1.y_d - stage1.y_c),
@@ -336,6 +336,13 @@ def test_fidelity_monotone_in_phase_error(default_apparatus, default_packet):
         for d in deltas
     ]
     assert all(a >= b - 1e-12 for a, b in zip(fids, fids[1:]))
+
+
+def test_recombine_refuses_an_overflowing_overlap():
+    # at a gradient of 1e160 the momentum mismatch of the two branches squares
+    # past the float range (and S is inf); a library caller gets a DomainError
+    with pytest.raises(DomainError, match="overflows"):
+        recombine(GaussianPacket(sigma=1e-8), Apparatus(0.0, 5.0, 6.0, 26.0, 1e160), None)
 
 
 def test_recombine_geometry_errors(default_apparatus, default_packet):
@@ -432,10 +439,21 @@ def test_wider_beams_split_at_weaker_fields():
 
 def test_sandwich_rejects_upstream_layers(default_packet):
     with pytest.raises(GeometryError):
-        sandwich(default_packet, LayerStack((Layer(-1.0, 1.0, 10.0),)), 2.0,
-                 y_source=0.0)
+        sandwich(default_packet, LayerStack((Layer(-1.0, 1.0, 10.0),)), 2.0)
     with pytest.raises(DomainError):
         sandwich(default_packet, LayerStack(()), 0.0)
+
+
+def test_sandwich_reads_the_packet_source():
+    # a beam leaving y = 2 meets the layer at 7..8 when an unsourced beam,
+    # leaving y = 0, meets it at 5..6: the field schedules are the same
+    sourced = sandwich(GaussianPacket(source=(0.0, 2.0, 0.0)),
+                       LayerStack((Layer(7.0, 8.0, 100.0),)), 5.6)
+    plain = sandwich(GaussianPacket(), LayerStack((Layer(5.0, 6.0, 100.0),)), 5.6)
+    assert sourced.to_json_dict() == plain.to_json_dict()
+    assert np.array_equal(sourced.histogram.counts, plain.histogram.counts)
+    for got, want in zip(sourced.report.peak_positions, (-50.512, 50.512)):
+        assert got == pytest.approx(want, abs=sourced.grid.dz)
 
 
 def test_sandwich_resolves_kicks_past_the_grid_band(default_packet):
@@ -443,7 +461,7 @@ def test_sandwich_resolves_kicks_past_the_grid_band(default_packet):
     # split-step propagation on that grid could not hold: the sampled closed
     # form puts the branches at -+v_z*(t - tbar) = -+40*5.05
     res = sandwich(default_packet, LayerStack((Layer(5.0, 6.0, 400.0),)), 5.6)
-    dz = res.state.grid.dz
+    dz = res.grid.dz
     assert 40.0 > math.pi / dz
     assert res.peak_count == 2
     for got, want in zip(res.report.peak_positions, (-202.0, 202.0)):

@@ -160,7 +160,7 @@ def test_suggest_grid_contains_packet(default_apparatus, default_packet):
     t = 3.0
     grid = suggest_grid(default_packet, default_apparatus, t)
     state = propagate_packet(default_packet, default_apparatus, grid, t)
-    state.check_extent()  # no ExtentError
+    grid.check_extent(state.density())  # no ExtentError
     assert grid.z_max > abs(derive_timing(default_apparatus, default_packet).v_z) * (
         t - derive_timing(default_apparatus, default_packet).t_bar
     )
