@@ -13,11 +13,16 @@ On each segment of a field schedule p is linear, q quadratic and S cubic in
 time, so the form holds at every time, inside a field region or after it;
 the grid propagator (:mod:`sgsim.oracle`) is its independent check.
 
+``SpinorField`` is keyed by a field schedule alone, through its kick
+integrals at t, and by the source y: ``evolve_packet`` builds it for an
+apparatus and ``sandwich`` for a layer stack, so both read one z density.
+
 A ``Grid1D`` is where the form is sampled: ``schedule_grid`` sizes one to
 hold both branches at the end of a schedule, from the drift |q| and the
 width sigma*|f|, and ``Grid1D.check_extent`` refuses a sampled density above
 EDGE_TOL of its peak at either edge.  ``sandwich``, ``evolve`` and the oracle
-share them.
+share them; ``sandwich`` and ``evolve`` also refuse, by
+``Grid1D.check_resolved``, a density that the grid samples as 0 everywhere.
 
 Phase conventions: all complex square roots take the principal branch.  The
 dispersion factor f(tau) = 1 + i*hbar*tau/(m*sigma^2) has unit real part
@@ -41,10 +46,8 @@ from .core import (
     Branch,
     DEFAULT_UNITS,
     GaussianPacket,
-    Timing,
     UnitSystem,
     apparatus_schedule,
-    derive_timing,
     kick_integrals,
 )
 from .errors import DomainError, ExtentError, InvalidParameterError
@@ -60,47 +63,22 @@ def dispersion_factor(tau: float, sigma: float, units: UnitSystem = DEFAULT_UNIT
     return 1.0 + 1j * units.hbar * tau / m_sigma2
 
 
-def kicked_factor(
-    packet: GaussianPacket,
-    kicks: tuple[float, float, float],
-    t: float,
-    s: float,
-    z,
-    units: UnitSystem = DEFAULT_UNITS,
-):
-    """Unit-norm z factor of the packet at time t, kicked by s times the
-    kick integrals (p, q, S): exp(i*s*(p*z - s*S)/hbar) * phi_free(z - s*q, t).
-
-    s = -+1 gives the spin branches; the mean-field state scales the kick by
-    s = <mu_z>/mu_b.
-    """
-    p, q, action = kicks
-    sigma = packet.sigma
-    f = dispersion_factor(t - packet.t_prime, sigma, units)
-    z = np.asarray(z)
-    dz = z - s * q
-    return (math.pi * sigma * sigma) ** -0.25 * f ** -0.5 * np.exp(
-        -dz * dz / (2.0 * sigma * sigma * f) + 1j * s * (p * z - s * action) / units.hbar
-    )
-
-
 @dataclass(frozen=True)
 class SpinorField:
     """Entangled two-branch Gaussian at time t.
 
     The closed form factorizes into x, y, and z pieces; each 1-D factor is
     unit-normalized, which makes marginals exact without quadrature.
-    ``kicks`` are the kick integrals (p, q, S) of the apparatus's field
-    schedule at t.  The field is a lazy evaluator: call the factor methods
-    at arbitrary points or sample a grid explicitly.
+    ``kicks`` are the kick integrals (p, q, S) at t of any field schedule
+    and ``y_source`` the y the packet left from.  The field is a lazy
+    evaluator: call the factor methods at arbitrary points or sample a grid.
     """
 
     packet: GaussianPacket
-    apparatus: Apparatus
-    timing: Timing
     units: UnitSystem
     t: float
     kicks: tuple[float, float, float]
+    y_source: float
 
     @property
     def tau(self) -> float:
@@ -109,6 +87,11 @@ class SpinorField:
     @cached_property
     def f(self) -> complex:
         return dispersion_factor(self.tau, self.packet.sigma, self.units)
+
+    @property
+    def y_center(self) -> float:
+        """y of the packet center, in uniform flight from y_source."""
+        return self.y_source + self.units.hbar * self.packet.k_y / self.units.mass * self.tau
 
     @property
     def width(self) -> float:
@@ -137,7 +120,7 @@ class SpinorField:
     def y_factor(self, y):
         sigma, k_y = self.packet.sigma, self.packet.k_y
         hbar, m = self.units.hbar, self.units.mass
-        dy = np.asarray(y) - self.packet.source_y(self.apparatus)
+        dy = np.asarray(y) - self.y_source
         return self._norm_1d() * np.exp(
             -dy * dy / (2.0 * sigma * sigma * self.f)
             + 1j * k_y * dy / self.f
@@ -145,8 +128,17 @@ class SpinorField:
         )
 
     def z_factor(self, s: float, z):
-        """Unit-norm z factor kicked by s, centered at kicked_center(s)."""
-        return kicked_factor(self.packet, self.kicks, self.t, s, z, self.units)
+        """Unit-norm z factor kicked by s times the kick integrals (p, q, S),
+        exp(i*s*(p*z - s*S)/hbar) * phi_free(z - s*q, t): the spin branches
+        at s = -+1, the mean-field state at s = <mu_z>/mu_b."""
+        p, q, action = self.kicks
+        sigma = self.packet.sigma
+        z = np.asarray(z)
+        dz = z - s * q
+        return self._norm_1d() * np.exp(
+            -dz * dz / (2.0 * sigma * sigma * self.f)
+            + 1j * s * (p * z - s * action) / self.units.hbar
+        )
 
     def overlap(self, s1: float, s2: float) -> complex:
         """<z_factor(s1)|z_factor(s2)> in closed form.
@@ -155,20 +147,21 @@ class SpinorField:
         two free Gaussians d = (s2 - s1)*q apart with relative wavenumber
         k = (s2 - s1)*p/hbar, which is real:
         exp(-d^2/(4*w^2) - (k*w - Im(f)*d/w)^2/4) for the width w.  The
-        shift contributes the phase (s2^2 - s1^2)*(p*q/2 - S)/hbar.
+        shift contributes the phase (s2^2 - s1^2)*(p*q/2 - S)/hbar.  Only
+        a non-finite phase is refused: an overflowing mismatch is no overlap.
         """
         p, q, action = self.kicks
         hbar, w = self.units.hbar, self.width
+        phase = (s2 * s2 - s1 * s1) * (0.5 * p * q - action) / hbar
+        if not math.isfinite(phase):
+            raise DomainError(f"branch overlap phase overflows: {phase}")
         ds = s2 - s1
         d, k = ds * q, ds * p / hbar
         try:
             mismatch = (k * w - self.f.imag * d / w) ** 2
-        except OverflowError as exc:
-            raise DomainError(f"branch overlap exponent overflows: {exc}") from exc
-        return cmath.exp(
-            -d * d / (4.0 * w * w) - mismatch / 4.0
-            + 1j * (s2 * s2 - s1 * s1) * (0.5 * p * q - action) / hbar
-        )
+        except OverflowError:  # a mismatch past the float range: no overlap
+            mismatch = math.inf
+        return cmath.exp(-d * d / (4.0 * w * w) - mismatch / 4.0 + 1j * phase)
 
     def z_marginal_amplitude(self, branch: Branch, z):
         """Unit-norm z factor of the branch wave function (spinor weight excluded)."""
@@ -206,13 +199,13 @@ def evolve_packet(
     units: UnitSystem = DEFAULT_UNITS,
 ) -> SpinorField:
     """Closed-form entangled field at any time t after emission, with the
-    field on between t_b and t_c."""
+    apparatus's field on between t_b and t_c."""
     if not math.isfinite(t):
         raise InvalidParameterError(f"evaluation time must be finite, got {t}")
     return SpinorField(
-        packet=packet, apparatus=apparatus,
-        timing=derive_timing(apparatus, packet, units), units=units, t=t,
+        packet=packet, units=units, t=t,
         kicks=kick_integrals(apparatus_schedule(apparatus, packet, t, units), t, units),
+        y_source=packet.source_y(apparatus),
     )
 
 
@@ -253,6 +246,15 @@ class Grid1D:
             raise ExtentError(
                 f"wave function touches the grid boundary (edge/peak = {edge / peak:.3e}); "
                 "enlarge the grid extent"
+            )
+
+    def check_resolved(self, density: np.ndarray) -> None:
+        """Raise ExtentError when the density sampled on the points is 0 at
+        every one of them: the state is narrower than the grid step."""
+        if not density.any():
+            raise ExtentError(
+                f"the sampled density is 0 at every grid point; the state is narrower "
+                f"than the grid step dz = {self.dz:.3e}: use more grid points"
             )
 
 

@@ -338,10 +338,10 @@ def _run_evolve(cfg: RunConfig) -> _Result:
     grid = analytic.suggest_grid(cfg.packet, cfg.apparatus, t, cfg.grid_n, cfg.units)
     z = grid.points
     marginal = fld.z_marginal_density(z)
-    y_center = cfg.packet.source_y(cfg.apparatus) + fld.timing.v * fld.tau
-    phi_p, phi_m = fld.sample_grid([0.0], [y_center], z)
+    grid.check_resolved(marginal)
+    phi_p, phi_m = fld.sample_grid([0.0], [fld.y_center], z)
     rows = zip(
-        np.zeros_like(z), np.full_like(z, y_center), z,
+        np.zeros_like(z), np.full_like(z, fld.y_center), z,
         phi_p[0, 0].real, phi_p[0, 0].imag, phi_m[0, 0].real, phi_m[0, 0].imag,
     )
     report = experiments.detect_bimodality(marginal, z)

@@ -14,7 +14,8 @@ class DomainError(SgSimError, ValueError):
 
 
 class ExtentError(SgSimError, ValueError):
-    """A grid is too small to hold the wave function it is asked to carry."""
+    """A grid is too small to hold, or too coarse to resolve, the wave
+    function it is asked to carry."""
 
 
 class NoSplitError(SgSimError, ValueError):

@@ -7,9 +7,9 @@ intersect them.  Recombination takes the closed-form overlap of the z
 factors of the two branches (kicked by -+v_z while the beams stay separated,
 unkicked after a perfect reversal), with an injectable relative phase error
 modeling imperfect phase maintenance.
-The multilayer sandwich samples the exact closed form of each branch on its
-field schedule (:mod:`sgsim.analytic`) at the points of a grid, sized and
-edge-checked there too; nothing here steps or stores a grid state.
+The multilayer sandwich builds ``evolve``'s closed-form ``SpinorField`` on
+the field schedule of its layers (:mod:`sgsim.analytic`) and samples its z
+density at the points of a grid sized and edge-checked there too.
 The "significantly greater" split condition is operationalized by the peak
 detector; the dimensionless kick strength kappa = mu_b*B'*dt*sigma/hbar is
 reported alongside so users can calibrate.
@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .analytic import Grid1D, evolve_packet, kicked_factor, schedule_grid
+from .analytic import Grid1D, SpinorField, evolve_packet, schedule_grid
 from .classical import Histogram
 from .core import (
     Apparatus,
@@ -409,13 +409,9 @@ def sandwich(
 
     kicks = kick_integrals(schedule, t_final, units)
     z = grid.points
-    density = (
-        np.abs(packet.chi_plus * kicked_factor(
-            packet, kicks, t_final, Branch.PLUS.deflection_sign, z, units)) ** 2
-        + np.abs(packet.chi_minus * kicked_factor(
-            packet, kicks, t_final, Branch.MINUS.deflection_sign, z, units)) ** 2
-    )
+    density = SpinorField(packet, units, t_final, kicks, y_source).z_marginal_density(z)
     grid.check_extent(density)
+    grid.check_resolved(density)
     report = detect_bimodality(density, z)
 
     edges = np.linspace(grid.z_min, grid.z_max, bins + 1)

@@ -81,21 +81,6 @@ class MeanFieldState:
         dz = np.asarray(z) - self.center_z
         return np.exp(-dz * dz / (w * w)) / (math.sqrt(math.pi) * w)
 
-    def field_average_Bz(self) -> float:
-        """<B_z> = dBz/dz * <z * theta(y in region)> over the packet density.
-
-        Exact for the factorized Gaussian: the z moment times the y-mass
-        inside the interaction region.
-        """
-        fld = self.field
-        w = fld.width
-        y_ctr = fld.packet.source_y(fld.apparatus) + fld.timing.v * fld.tau
-        mass_in_region = 0.5 * (
-            math.erf((fld.apparatus.y_c - y_ctr) / w)
-            - math.erf((fld.apparatus.y_b - y_ctr) / w)
-        )
-        return fld.apparatus.grad_Bz * self.center_z * mass_in_region
-
 
 def meanfield_evolve(
     beta: float,

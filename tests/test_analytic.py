@@ -21,7 +21,7 @@ from sgsim import (
     propagate,
     suggest_grid,
 )
-from sgsim.analytic import kick_integrals, kicked_factor
+from sgsim.analytic import SpinorField, kick_integrals
 from sgsim.core import DEFAULT_UNITS, field_schedule
 
 
@@ -307,9 +307,9 @@ def test_closed_form_amplitudes_match_grid(layers, post, frac, sigma):
     grid = _grid_holding(packet, schedule, t_final)
     start = GridState.from_packet(packet, grid)
     coarse, fine = (propagate(start, schedule, n) for n in (64, 128))
-    kicks = kick_integrals(schedule, t_final)
+    field = SpinorField(packet, DEFAULT_UNITS, t_final, kick_integrals(schedule, t_final), 0.0)
     exact = [
-        chi * kicked_factor(packet, kicks, t_final, branch.deflection_sign, grid.points)
+        chi * field.z_factor(branch.deflection_sign, grid.points)
         for chi, branch in ((packet.chi_plus, Branch.PLUS), (packet.chi_minus, Branch.MINUS))
     ]
 

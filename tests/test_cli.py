@@ -417,6 +417,21 @@ def test_grid_refuses_unheld_momentum(argv, tmp_path, capsys):
     assert os.listdir(out) == []
 
 
+@pytest.mark.parametrize("experiment", ["sandwich", "evolve"])
+def test_unresolved_branches_exit_extent(experiment, tmp_path, capsys):
+    # at a gradient of 1e7 both branches are far narrower than the default
+    # grid's step, so the sampled density is 0 at every point
+    cfg_path = tmp_path / "steep.cfg"
+    cfg_path.write_text("apparatus.grad_Bz = 1e7\n")
+    argv = {"sandwich": ["sandwich", "--layers", "5:6:1e7"],
+            "evolve": ["evolve", "--config", str(cfg_path)]}[experiment]
+    out = tmp_path / experiment
+    assert main(argv + ["--out", str(out)]) == 4
+    record = json.loads(capsys.readouterr().err)
+    assert record["error"] == "ExtentError" and "grid step" in record["message"]
+    assert os.listdir(out) == []
+
+
 def test_nan_spinor_config_rejected(tmp_path, capsys):
     cfg_path = tmp_path / "nan.cfg"
     cfg_path.write_text("run.experiment = backtrack\npacket.chi_plus = nan+0j\n")
@@ -537,6 +552,17 @@ def _readme_table(header):
             break
         rows.append([cell.strip() for cell in line.strip("|").split("|")])
     return rows
+
+
+def test_readme_names_every_test_dependency():
+    tomllib = pytest.importorskip("tomllib")
+    root = pathlib.Path(__file__).parent.parent
+    project = tomllib.loads((root / "pyproject.toml").read_text())["project"]
+    readme = (root / "README.md").read_text(encoding="utf-8")
+    install = readme[readme.index("## Install"):readme.index("## Tests")]
+    for requirement in project["optional-dependencies"]["test"]:
+        name = re.match(r"[A-Za-z0-9_.-]+", requirement).group()
+        assert name in install, name
 
 
 def test_readme_key_table_matches_keys():

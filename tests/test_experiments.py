@@ -22,6 +22,7 @@ from sgsim import (
     derive_timing,
     detect_bimodality,
     dispersion_factor,
+    evolve_packet,
     kick_velocity,
     layer_kappa,
     propagate,
@@ -345,6 +346,13 @@ def test_recombine_refuses_an_overflowing_overlap():
         recombine(GaussianPacket(sigma=1e-8), Apparatus(0.0, 5.0, 6.0, 26.0, 1e160), None)
 
 
+def test_recombine_past_an_overflowing_mismatch_has_no_overlap():
+    # at a gradient of 1e150 the momentum mismatch squares past the float
+    # range while the phase stays finite: the branches do not overlap at all
+    result = recombine(GaussianPacket(sigma=1e-8), Apparatus(0.0, 5.0, 6.0, 26.0, 1e150), None)
+    assert result.fidelity == 0.5 and result.overlap == 0.0
+
+
 def test_recombine_geometry_errors(default_apparatus, default_packet):
     overlapping = Apparatus(0.0, 5.5, 6.5, 26.0, -100.0)
     with pytest.raises(GeometryError):
@@ -472,6 +480,23 @@ def test_sandwich_refuses_grid_too_narrow(default_packet):
     stack = LayerStack((Layer(5.0, 6.0, 100.0),))
     with pytest.raises(ExtentError, match="boundary"):
         sandwich(default_packet, stack, 5.6, grid=Grid1D(-20.0, 20.0, 1024))
+
+
+def test_sandwich_refuses_a_grid_too_coarse(default_packet):
+    # at a gradient of 1e7 the branches, about 1 wide, lie 5e5 out on a
+    # default grid whose step is 3e3: every sampled point reads 0
+    with pytest.raises(ExtentError, match="grid step"):
+        sandwich(default_packet, LayerStack((Layer(5.0, 6.0, 1e7),)), 5.6)
+
+
+@pytest.mark.parametrize("chi", [(0.5 ** 0.5, 0.5 ** 0.5), (0.6, 0.8j)])
+def test_sandwich_and_evolve_read_one_density(chi):
+    # one layer at 5..6 is the apparatus's one field window: the same state,
+    # so the same density, bit for bit
+    packet = GaussianPacket(chi_plus=chi[0], chi_minus=chi[1])
+    result = sandwich(packet, LayerStack((Layer(5.0, 6.0, 100.0),)), 5.6)
+    field = evolve_packet(packet, Apparatus(0.0, 5.0, 6.0, 26.0, 100.0), 5.6)
+    assert np.array_equal(result.density, field.z_marginal_density(result.grid.points))
 
 
 def test_kick_velocity_consistency(default_apparatus, default_packet):

@@ -64,7 +64,7 @@ def test_pure_spin_meanfield_is_entangled_branch(
     state = meanfield_evolve(beta, default_packet, default_apparatus, t)
     fld = evolve_packet(default_packet, default_apparatus, t)
     w, c = fld.width, fld.branch_center(branch)
-    y0 = default_packet.source_y(default_apparatus) + fld.timing.v * fld.tau
+    y0 = fld.y_center
     x = np.linspace(-3 * w, 3 * w, 7)[:, None, None]
     y = np.linspace(y0 - 3 * w, y0 + 3 * w, 7)[None, :, None]
     z = np.linspace(c - 6 * w, c + 6 * w, 401)[None, None, :]
@@ -102,27 +102,6 @@ def test_meanfield_center_in_region_matches_rk4(default_apparatus, default_packe
     state = meanfield_evolve(beta, default_packet, default_apparatus, t)
     z_ref, _ = _rk4_oracle(-math.cos(beta), default_apparatus, default_packet, t)
     assert state.center_z == pytest.approx(z_ref, abs=1e-9)
-
-
-def test_field_average_matches_grid_quadrature(default_apparatus, default_packet):
-    # <B_z> = B' * integral of z * theta(y in region) * |phi|^2, evaluated by
-    # brute-force trapezoid over the amplitude returned by the state itself
-    t = derive_timing(default_apparatus, default_packet).t_c  # packet half-in
-    state = meanfield_evolve(math.pi / 4, default_packet, default_apparatus, t)
-    fld = state.field
-    w = fld.width
-    y_ctr = default_packet.source_y(default_apparatus) + fld.timing.v * fld.tau
-    x = np.linspace(-6 * w, 6 * w, 121)
-    # the step profile restricts the y integral to [y_b, y_c] exactly
-    y = np.linspace(default_apparatus.y_b, default_apparatus.y_c, 801)
-    z = np.linspace(state.center_z - 8 * w, state.center_z + 8 * w, 401)
-    amp = state(x[:, None, None], y[None, :, None], z[None, None, :])
-    rho = np.abs(amp) ** 2
-    integrand = rho * z[None, None, :]
-    val = default_apparatus.grad_Bz * np.trapezoid(
-        np.trapezoid(np.trapezoid(integrand, z, axis=2), y, axis=1), x, axis=0
-    )
-    assert state.field_average_Bz() == pytest.approx(val, rel=1e-6)
 
 
 def test_ensemble_matches_convolution_closed_form(default_apparatus, default_packet):
@@ -229,18 +208,3 @@ def test_ensemble_density_erf_scalar_inputs():
         assert isinstance(value, np.float64)
         assert value == pytest.approx(ref, rel=1e-15, abs=0.0)
     assert meanfield_ensemble_density(np.array([0.5]), span, sd).dtype == np.float64
-
-
-@pytest.mark.parametrize("delay", [0.0, 0.01, 0.05])
-def test_field_average_erf_matches_scipy(default_apparatus, default_packet, delay):
-    # from half the packet in the region (erf(0) = 0) to its tail leaving
-    t = derive_timing(default_apparatus, default_packet).t_c + delay
-    state = meanfield_evolve(math.pi / 4, default_packet, default_apparatus, t)
-    fld = state.field
-    y_ctr = default_packet.source_y(default_apparatus) + fld.timing.v * fld.tau
-    mass = 0.5 * (
-        erf((default_apparatus.y_c - y_ctr) / fld.width)
-        - erf((default_apparatus.y_b - y_ctr) / fld.width)
-    )
-    ref = default_apparatus.grad_Bz * state.center_z * float(mass)
-    assert state.field_average_Bz() == pytest.approx(ref, rel=1e-15, abs=0.0)
