@@ -54,6 +54,9 @@ from .errors import DomainError, ExtentError, InvalidParameterError
 
 EDGE_TOL = 1e-10  # max tolerated relative density at a grid's edge
 
+_erf = np.frompyfunc(math.erf, 1, 1)  # elementwise math.erf
+_erfc = np.frompyfunc(math.erfc, 1, 1)
+
 
 def dispersion_factor(tau: float, sigma: float, units: UnitSystem = DEFAULT_UNITS) -> complex:
     """f(tau) = 1 + i*hbar*tau/(m*sigma^2); |f| is the width-growth factor."""
@@ -167,12 +170,39 @@ class SpinorField:
         """Unit-norm z factor of the branch wave function (spinor weight excluded)."""
         return self.z_factor(branch.deflection_sign, z)
 
+    def branch_density(self, s: float, z):
+        """|z_factor(s, z)|^2 in real arithmetic: the Gaussian
+        exp(-(z - s*q)^2/w^2)/(sqrt(pi)*w) of the width w, since
+        Re(1/f) = 1/|f|^2.  The one z density of a branch (s = -+1) or of
+        the mean-field state (s = <mu_z>/mu_b)."""
+        w = self.width
+        dz = np.asarray(z) - self.kicked_center(s)
+        return np.exp(-dz * dz / (w * w)) / (math.sqrt(math.pi) * w)
+
+    def branch_mass(self, s: float, edges) -> np.ndarray:
+        """Exact mass of ``branch_density(s)`` between consecutive ascending
+        edges, from the edges' distances |u| from the center in widths: half
+        of erf(|u_lo|) + erf(|u_hi|) for a bin across the center, and half
+        the erfc difference of |u| for a bin on one side of it, where the erf
+        difference would subtract two values near 1 and keep only their
+        absolute precision."""
+        u = (np.asarray(edges, dtype=float) - self.kicked_center(s)) / self.width
+        a = np.abs(u)
+        tail = np.asarray(_erfc(a), dtype=float)
+        core = np.asarray(_erf(a), dtype=float)
+        lo, hi = u[:-1], u[1:]
+        return 0.5 * np.where(
+            lo >= 0.0, tail[:-1] - tail[1:],
+            np.where(hi <= 0.0, tail[1:] - tail[:-1], core[:-1] + core[1:]),
+        )
+
     def z_marginal_density(self, z):
-        """|h_+|^2 |chi_+|^2 + |h_-|^2 |chi_-|^2, exact x/y integration."""
+        """|chi_+|^2 * branch_density(-1) + |chi_-|^2 * branch_density(+1),
+        exact x/y integration; ``branch_density`` is the one z density."""
         return (
-            np.abs(self.z_marginal_amplitude(Branch.PLUS, z)) ** 2
+            self.branch_density(Branch.PLUS.deflection_sign, z)
             * abs(self.packet.chi_plus) ** 2
-            + np.abs(self.z_marginal_amplitude(Branch.MINUS, z)) ** 2
+            + self.branch_density(Branch.MINUS.deflection_sign, z)
             * abs(self.packet.chi_minus) ** 2
         )
 

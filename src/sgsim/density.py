@@ -36,20 +36,22 @@ def coherence_norm(field: SpinorField) -> float:
 def density_sweep(field: SpinorField, z_values: np.ndarray, variant: Variant) -> np.ndarray:
     """Spin density matrices at each z in z_values, as an (N, 2, 2) array.
 
-    collapse_free keeps the phi_+^* phi_- chi_+^* chi_- off-diagonal term;
-    collapsed zeroes it while keeping the identical diagonal, whose trace is
-    field.z_marginal_density(z).
+    The diagonal is each branch's ``field.branch_density``, the one z
+    density formula, times its spinor weight, so its trace is
+    field.z_marginal_density(z).  collapse_free
+    keeps the phi_+^* phi_- chi_+^* chi_- off-diagonal term; collapsed
+    zeroes it while keeping the identical diagonal.
     """
     if variant not in ("collapsed", "collapse_free"):
         raise InvalidParameterError(f"unknown variant {variant!r}")
     z = np.asarray(z_values, float)
-    hp = field.z_marginal_amplitude(Branch.PLUS, z)
-    hm = field.z_marginal_amplitude(Branch.MINUS, z)
     cp, cm = field.packet.chi_plus, field.packet.chi_minus
     rho = np.zeros((len(z), 2, 2), dtype=complex)
-    rho[:, 0, 0] = np.abs(hp) ** 2 * abs(cp) ** 2
-    rho[:, 1, 1] = np.abs(hm) ** 2 * abs(cm) ** 2
+    rho[:, 0, 0] = field.branch_density(Branch.PLUS.deflection_sign, z) * abs(cp) ** 2
+    rho[:, 1, 1] = field.branch_density(Branch.MINUS.deflection_sign, z) * abs(cm) ** 2
     if variant == "collapse_free":
+        hp = field.z_marginal_amplitude(Branch.PLUS, z)
+        hm = field.z_marginal_amplitude(Branch.MINUS, z)
         rho[:, 0, 1] = np.conj(hp) * hm * np.conj(cp) * cm
         rho[:, 1, 0] = np.conj(rho[:, 0, 1])
     return rho

@@ -9,7 +9,9 @@ unkicked after a perfect reversal), with an injectable relative phase error
 modeling imperfect phase maintenance.
 The multilayer sandwich builds ``evolve``'s closed-form ``SpinorField`` on
 the field schedule of its layers (:mod:`sgsim.analytic`) and samples its z
-density at the points of a grid sized and edge-checked there too.
+density at the points of a grid sized and edge-checked there too; its
+histogram is the exact mass of the closed form in each bin
+(``SpinorField.branch_mass``), not the grid's sampled probability mass.
 The "significantly greater" split condition is operationalized by the peak
 detector; the dimensionless kick strength kappa = mu_b*B'*dt*sigma/hbar is
 reported alongside so users can calibrate.
@@ -45,7 +47,7 @@ from .errors import (
     NoSplitError,
 )
 
-_NOMINAL_COUNTS = 1_000_000  # scale for converting grid probability mass to counts
+_NOMINAL_COUNTS = 1_000_000  # counts per unit of the closed form's exact bin mass
 
 
 # ---------------------------------------------------------------------------
@@ -389,7 +391,9 @@ def sandwich(
     units: UnitSystem = DEFAULT_UNITS,
 ) -> SandwichResult:
     """Sample the closed-form z density after the layer stack on the grid
-    points and count its resolved peaks.  The beam starts at the y of
+    points and count its resolved peaks.  The histogram holds the exact mass
+    of the closed form in each of ``bins`` equal bins across the grid, in
+    counts of a nominal million.  The beam starts at the y of
     ``packet.source``, or at y = 0 when the packet sets no source."""
     y_source = packet.source[1] if packet.source is not None else 0.0
     v = units.hbar * packet.k_y / units.mass
@@ -408,14 +412,18 @@ def sandwich(
         grid = schedule_grid(packet, schedule, units=units)
 
     kicks = kick_integrals(schedule, t_final, units)
+    field = SpinorField(packet, units, t_final, kicks, y_source)
     z = grid.points
-    density = SpinorField(packet, units, t_final, kicks, y_source).z_marginal_density(z)
+    density = field.z_marginal_density(z)
     grid.check_extent(density)
     grid.check_resolved(density)
     report = detect_bimodality(density, z)
 
     edges = np.linspace(grid.z_min, grid.z_max, bins + 1)
-    mass, _ = np.histogram(z, bins=edges, weights=density * grid.dz)
+    mass = (
+        field.branch_mass(Branch.PLUS.deflection_sign, edges) * abs(packet.chi_plus) ** 2
+        + field.branch_mass(Branch.MINUS.deflection_sign, edges) * abs(packet.chi_minus) ** 2
+    )
     counts = np.rint(mass * _NOMINAL_COUNTS).astype(np.int64)
     histogram = Histogram(edges=edges, counts=counts, n_total=int(counts.sum()))
     kappas = tuple(layer_kappa(layer, packet, units) for layer in layers.layers)

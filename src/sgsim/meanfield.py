@@ -23,13 +23,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .analytic import SpinorField, evolve_packet
+from .analytic import SpinorField, _erf, _erfc, evolve_packet
 from .classical import Histogram, chunked_samples
 from .core import Apparatus, DEFAULT_UNITS, GaussianPacket, UnitSystem
 from .errors import InvalidParameterError
-
-_erf = np.frompyfunc(math.erf, 1, 1)  # elementwise math.erf
-_erfc = np.frompyfunc(math.erfc, 1, 1)
 
 
 def spin_moment_average(
@@ -76,10 +73,10 @@ class MeanFieldState:
         )
 
     def z_density(self, z):
-        """Unimodal z marginal: a Gaussian of sd width/sqrt(2) at center_z."""
-        w = self.field.width
-        dz = np.asarray(z) - self.center_z
-        return np.exp(-dz * dz / (w * w)) / (math.sqrt(math.pi) * w)
+        """Unimodal z marginal: the one z density formula,
+        ``SpinorField.branch_density`` at s = <mu_z>/mu_b, a Gaussian of sd
+        width/sqrt(2) at center_z."""
+        return self.field.branch_density(self.mu_z_avg / self.field.units.mu_b, z)
 
 
 def meanfield_evolve(

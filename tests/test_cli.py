@@ -295,6 +295,15 @@ def test_sandwich_strong_layer_peaks(tmp_path):
         assert got == pytest.approx(want, abs=0.1)
 
 
+def test_default_sandwich_histogram_is_mirror_symmetric(tmp_path):
+    # equal spinor weights and a grid symmetric about z = 0: the branches
+    # are mirror images, and so is each bin's exact mass
+    code, out = run_cli(["sandwich"], tmp_path, "s")
+    assert code == 0
+    counts = np.loadtxt(out / "histogram.csv", delimiter=",", skiprows=1)[:, 2]
+    assert np.array_equal(counts, counts[::-1])
+
+
 def test_sandwich_bins_flag_below_16(tmp_path):
     # the peak detector runs on the grid density, so any bins >= 2 is honoured
     code, out = run_cli(["sandwich", "--bins", "10"], tmp_path, "s")

@@ -489,6 +489,17 @@ def test_sandwich_refuses_a_grid_too_coarse(default_packet):
         sandwich(default_packet, LayerStack((Layer(5.0, 6.0, 1e7),)), 5.6)
 
 
+@pytest.mark.parametrize("grad", [3e4, 1e5, 2e5, 1e6])
+def test_sandwich_histogram_holds_the_nominal_mass(grad):
+    # the default grid's step (9.3 at 3e4, 310 at 1e6) is past the density
+    # sd of 4.0 here; each bin holds the closed form's exact mass, so the
+    # counts sum to the nominal million up to one rounding per bin
+    res = sandwich(GaussianPacket(), LayerStack((Layer(5.0, 6.0, grad),)), 5.6)
+    assert res.grid.dz > 4.0
+    bins = res.histogram.counts.size
+    assert abs(res.histogram.n_total - 1_000_000) <= bins / 2
+
+
 @pytest.mark.parametrize("chi", [(0.5 ** 0.5, 0.5 ** 0.5), (0.6, 0.8j)])
 def test_sandwich_and_evolve_read_one_density(chi):
     # one layer at 5..6 is the apparatus's one field window: the same state,
