@@ -38,9 +38,9 @@ def density_sweep(field: SpinorField, z_values: np.ndarray, variant: Variant) ->
 
     The diagonal is each branch's ``field.branch_density``, the one z
     density formula, times its spinor weight, so its trace is
-    field.z_marginal_density(z).  collapse_free
-    keeps the phi_+^* phi_- chi_+^* chi_- off-diagonal term; collapsed
-    zeroes it while keeping the identical diagonal.
+    field.z_marginal_density(z).  collapse_free keeps the
+    phi_+^* phi_- chi_+^* chi_- off-diagonal term; collapsed zeroes it while
+    keeping the identical diagonal.
     """
     if variant not in ("collapsed", "collapse_free"):
         raise InvalidParameterError(f"unknown variant {variant!r}")
