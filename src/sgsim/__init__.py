@@ -4,119 +4,57 @@ Closed-form entangled spinor evolution, classical and mean-field ensemble
 predictions, z-resolved density matrices, an independent split-step grid
 propagator for cross-validation, and experiment-level predictions
 (collapse-point backtracking, recombination coherence, multilayer splitting).
+
+Each public name is imported from its submodule on first access, so
+``import sgsim`` (and every ``sgsim <experiment>`` run) loads only the
+submodules it uses.
 """
 
-from .core import (
-    Apparatus,
-    Branch,
-    DEFAULT_UNITS,
-    GaussianPacket,
-    Timing,
-    UnitSystem,
-    derive_timing,
-    detection_time,
-    kick_velocity,
-)
-from .classical import (
-    Histogram,
-    classical_ensemble,
-    classical_trajectory,
-    deflection,
-)
-from .analytic import (
-    Grid1D,
-    SpinorField,
-    dispersion_factor,
-    evolve_packet,
-    suggest_grid,
-)
-from .density import coherence_norm, density_sweep
-from .meanfield import (
-    MeanFieldState,
-    meanfield_ensemble,
-    meanfield_ensemble_density,
-    meanfield_evolve,
-    spin_moment_average,
-)
-from .oracle import (
-    GridState,
-    OracleComparison,
-    compare_analytic_oracle,
-    propagate,
-    propagate_packet,
-)
-from .experiments import (
-    BimodalityReport,
-    CollapseReport,
-    Layer,
-    LayerStack,
-    RecombinationResult,
-    SandwichResult,
-    backtrack_collapse,
-    detect_bimodality,
-    layer_kappa,
-    recombine,
-    sandwich,
-)
-from .errors import (
-    ConfigError,
-    DomainError,
-    ExtentError,
-    GeometryError,
-    InvalidParameterError,
-    NoSplitError,
-    SgSimError,
-)
+import importlib
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "Apparatus",
-    "BimodalityReport",
-    "Branch",
-    "CollapseReport",
-    "ConfigError",
-    "DEFAULT_UNITS",
-    "DomainError",
-    "ExtentError",
-    "GaussianPacket",
-    "GeometryError",
-    "Grid1D",
-    "GridState",
-    "Histogram",
-    "InvalidParameterError",
-    "Layer",
-    "LayerStack",
-    "MeanFieldState",
-    "NoSplitError",
-    "OracleComparison",
-    "RecombinationResult",
-    "SandwichResult",
-    "SgSimError",
-    "SpinorField",
-    "Timing",
-    "UnitSystem",
-    "backtrack_collapse",
-    "classical_ensemble",
-    "classical_trajectory",
-    "coherence_norm",
-    "compare_analytic_oracle",
-    "deflection",
-    "density_sweep",
-    "derive_timing",
-    "detect_bimodality",
-    "detection_time",
-    "dispersion_factor",
-    "evolve_packet",
-    "kick_velocity",
-    "layer_kappa",
-    "meanfield_ensemble",
-    "meanfield_ensemble_density",
-    "meanfield_evolve",
-    "propagate",
-    "propagate_packet",
-    "recombine",
-    "sandwich",
-    "spin_moment_average",
-    "suggest_grid",
-]
+# Each submodule and the public names it defines.
+_EXPORTS = {
+    "core": (
+        "Apparatus", "Branch", "DEFAULT_UNITS", "GaussianPacket", "Timing", "UnitSystem",
+        "derive_timing", "detection_time", "kick_velocity",
+    ),
+    "classical": ("Histogram", "classical_ensemble", "classical_trajectory", "deflection"),
+    "analytic": ("Grid1D", "SpinorField", "dispersion_factor", "evolve_packet", "suggest_grid"),
+    "density": ("coherence_norm", "density_sweep"),
+    "meanfield": (
+        "MeanFieldState", "meanfield_ensemble", "meanfield_ensemble_density",
+        "meanfield_evolve", "spin_moment_average",
+    ),
+    "oracle": (
+        "GridState", "OracleComparison", "compare_analytic_oracle", "propagate",
+        "propagate_packet",
+    ),
+    "experiments": (
+        "BimodalityReport", "CollapseReport", "Layer", "LayerStack", "RecombinationResult",
+        "SandwichResult", "backtrack_collapse", "detect_bimodality", "layer_kappa",
+        "recombine", "sandwich",
+    ),
+    "errors": (
+        "ConfigError", "DomainError", "ExtentError", "GeometryError",
+        "InvalidParameterError", "NoSplitError", "SgSimError",
+    ),
+}
+_HOME = {name: module for module, names in _EXPORTS.items() for name in names}
+
+__all__ = sorted(_HOME)
+
+
+def __getattr__(name: str):
+    if name in _EXPORTS:  # a submodule, bound as an eager import would bind it
+        return importlib.import_module(f"{__name__}.{name}")
+    if name not in _HOME:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f"{__name__}.{_HOME[name]}"), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted(set(globals()) | set(__all__))

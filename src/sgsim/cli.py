@@ -5,12 +5,13 @@ Config format: flat ``key = value`` lines with dotted section keys
 Command-line flags override file values.  All numeric output uses 17
 significant digits, so identical config + seed gives byte-identical outputs.
 Each experiment runner returns its artifacts as texts; ``run`` builds all of
-them before it writes any, each atomically (temp file + rename), so a run
-that fails writes no artifact.
+them before it writes any, each atomically (temp file + rename), so an
+experiment that fails writes no artifact, and a write that fails leaves only
+the whole artifacts written before it.
 
-Exit codes: 0 success, 2 parse or usage error, 3 validation error,
-4 numeric/domain failure.  Failures also emit a machine-readable JSON error
-record on stderr.
+Exit codes: 0 success, 2 parse or usage error or an unwritable artifact,
+3 validation error, 4 numeric/domain failure or out of memory.  Failures
+also emit a machine-readable JSON error record on stderr.
 """
 
 from __future__ import annotations
@@ -27,7 +28,6 @@ from typing import Callable
 
 import numpy as np
 
-from . import analytic, classical, density, experiments, meanfield, oracle
 from .core import (
     Apparatus,
     Branch,
@@ -268,7 +268,7 @@ def load_config(path: str, base: RunConfig | None = None) -> RunConfig:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             text = fh.read()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read config file {path}: {exc}") from exc
     return config_from_mapping(parse_config_text(text), base)
 
@@ -300,11 +300,15 @@ def _json_text(obj: dict) -> str:
         raise DomainError(f"refusing to write non-finite value: {exc}") from exc
 
 
-def _csv_text(header: list[str], rows) -> str:
-    lines = [",".join(header)]
-    for row in rows:
-        lines.append(",".join(_g(v) for v in row))
-    return "\n".join(lines) + "\n"
+def _csv_text(header: list[str], columns) -> str:
+    """One row per index of the equal-length ``columns``, each value as ``_g``
+    writes it: the %-format's %.17g gives the same digits as its format spec."""
+    table = np.column_stack(columns)
+    finite = np.isfinite(table)
+    if not finite.all():
+        raise DomainError(f"refusing to write non-finite value {float(table[~finite][0])!r}")
+    row = ",".join(["%.17g"] * len(header))
+    return "\n".join([",".join(header), *(row % tuple(r) for r in table.tolist())]) + "\n"
 
 
 # ---------------------------------------------------------------------------
@@ -312,10 +316,13 @@ def _csv_text(header: list[str], rows) -> str:
 
 # A runner's result: its one-line summary and its artifacts, an ordered
 # mapping from file name to text whose first entry the summary line names.
+# Each runner imports the modules it calls, so that a run loads only those.
 _Result = tuple[str, dict[str, str]]
 
 
 def _run_classical(cfg: RunConfig) -> _Result:
+    from . import classical
+
     hist = classical.classical_ensemble(
         cfg.n, cfg.seed, cfg.apparatus, cfg.packet, cfg.bins, cfg.units
     )
@@ -333,6 +340,8 @@ def _field_time(cfg: RunConfig) -> float:
 
 
 def _run_evolve(cfg: RunConfig) -> _Result:
+    from . import analytic, experiments
+
     t = _field_time(cfg)
     fld = analytic.evolve_packet(cfg.packet, cfg.apparatus, t, cfg.units)
     grid = analytic.suggest_grid(cfg.packet, cfg.apparatus, t, cfg.grid_n, cfg.units)
@@ -340,15 +349,15 @@ def _run_evolve(cfg: RunConfig) -> _Result:
     marginal = fld.z_marginal_density(z)
     grid.check_resolved(marginal)
     phi_p, phi_m = fld.sample_grid([0.0], [fld.y_center], z)
-    rows = zip(
+    columns = [
         np.zeros_like(z), np.full_like(z, fld.y_center), z,
         phi_p[0, 0].real, phi_p[0, 0].imag, phi_m[0, 0].real, phi_m[0, 0].imag,
-    )
+    ]
     report = experiments.detect_bimodality(marginal, z)
     return f"evolve: t={_g(t)} peaks={report.peak_count}", {
-        "z_marginal.csv": _csv_text(["z", "density"], zip(z, marginal)),
+        "z_marginal.csv": _csv_text(["z", "density"], [z, marginal]),
         "field_line.csv": _csv_text(["x", "y", "z", "re_phi_plus", "im_phi_plus",
-                                     "re_phi_minus", "im_phi_minus"], rows),
+                                     "re_phi_minus", "im_phi_minus"], columns),
         "summary.json": _json_text({
             "experiment": "evolve", "t": t,
             "peak_count": report.peak_count,
@@ -360,27 +369,29 @@ def _run_evolve(cfg: RunConfig) -> _Result:
 
 
 def _run_density(cfg: RunConfig) -> _Result:
+    from . import analytic, density
+
     t = _field_time(cfg)
     fld = analytic.evolve_packet(cfg.packet, cfg.apparatus, t, cfg.units)
     half = abs(fld.branch_center(Branch.PLUS)) + 6.0 * fld.width
     z_values = np.linspace(-half, half, 1001)
-    rows = []
-    for variant, flag in (("collapse_free", 1.0), ("collapsed", 0.0)):
-        rho = density.density_sweep(fld, z_values, variant)
-        rows.extend(zip(
-            z_values, rho[:, 0, 0].real, rho[:, 1, 1].real,
-            rho[:, 0, 1].real, rho[:, 0, 1].imag, np.full_like(z_values, flag),
-        ))
+    # the collapse-free sweep's rows (flag 1), then the collapsed one's (flag 0)
+    rho = np.concatenate([density.density_sweep(fld, z_values, variant)
+                          for variant in ("collapse_free", "collapsed")])
+    columns = [np.tile(z_values, 2), rho[:, 0, 0].real, rho[:, 1, 1].real,
+               rho[:, 0, 1].real, rho[:, 0, 1].imag, np.repeat([1.0, 0.0], z_values.size)]
     coherence = density.coherence_norm(fld)
     return f"density: t={_g(t)} coherence={_g(coherence)}", {
         "density_sweep.csv": _csv_text(["z", "rho_pp", "rho_mm", "re_rho_pm",
-                                        "im_rho_pm", "collapse_free"], rows),
+                                        "im_rho_pm", "collapse_free"], columns),
         "summary.json": _json_text({"experiment": "density", "t": t,
                                     "coherence_norm": coherence}),
     }
 
 
 def _run_meanfield(cfg: RunConfig) -> _Result:
+    from . import meanfield
+
     t = _field_time(cfg)
     hist = meanfield.meanfield_ensemble(
         cfg.n, cfg.seed, cfg.packet, cfg.apparatus, t, cfg.bins, cfg.units
@@ -394,24 +405,28 @@ def _run_meanfield(cfg: RunConfig) -> _Result:
 
 
 def _run_oracle_compare(cfg: RunConfig) -> _Result:
+    from . import analytic, oracle
+
     t = _field_time(cfg)
     grid = analytic.suggest_grid(cfg.packet, cfg.apparatus, t, cfg.grid_n, cfg.units)
     report = oracle.compare_analytic_oracle(
         cfg.packet, cfg.apparatus, t, grid, cfg.units, cfg.n_field_steps
     )
     state = report.state
-    rows = zip(grid.points, state.psi_plus.real, state.psi_plus.imag,
-               state.psi_minus.real, state.psi_minus.imag)
+    columns = [grid.points, state.psi_plus.real, state.psi_plus.imag,
+               state.psi_minus.real, state.psi_minus.imag]
     summary = (f"oracle-compare: t={_g(t)} err_plus={_g(report.err_plus)} "
                f"err_minus={_g(report.err_minus)}")
     return summary, {
         "report.json": _json_text(report.to_json_dict()),
         "snapshot.csv": _csv_text(["z", "re_psi_plus", "im_psi_plus", "re_psi_minus",
-                                   "im_psi_minus"], rows),
+                                   "im_psi_minus"], columns),
     }
 
 
 def _run_backtrack(cfg: RunConfig) -> _Result:
+    from . import experiments
+
     report = experiments.backtrack_collapse(cfg.packet, cfg.apparatus, units=cfg.units)
     return (f"backtrack: y_collapse={_g(report.y_collapse)}",
             {"report.json": _json_text(report.to_json_dict())})
@@ -428,6 +443,8 @@ def _reversal_stage(cfg: RunConfig) -> Apparatus:
 
 
 def _run_recombine(cfg: RunConfig) -> _Result:
+    from . import experiments
+
     stage2 = None if cfg.separated else _reversal_stage(cfg)
     result = experiments.recombine(
         cfg.packet, cfg.apparatus, stage2, cfg.phase_error, cfg.units
@@ -437,6 +454,8 @@ def _run_recombine(cfg: RunConfig) -> _Result:
 
 
 def _run_sandwich(cfg: RunConfig) -> _Result:
+    from . import experiments
+
     stack = experiments.LayerStack(
         tuple(experiments.Layer(*triple) for triple in cfg.layers)
     )
@@ -479,10 +498,16 @@ def run(config: RunConfig) -> int:
     # ZeroDivisionError (a variance that underflows to 0)
     except ArithmeticError as exc:
         return _fail(DomainError(f"numeric overflow or invalid operation: {exc}"))
+    except MemoryError as exc:  # a size too large to allocate (run.n, run.bins)
+        return _fail(DomainError(f"out of memory: {exc}"))
     except SgSimError as exc:
         return _fail(exc)
     for name, text in artifacts.items():
-        write_atomic(os.path.join(out, name), text)
+        path = os.path.join(out, name)
+        try:
+            write_atomic(path, text)
+        except OSError as exc:
+            return _fail(ConfigError(f"run.out: cannot write {path!r}: {exc}"))
     print(f"{summary} -> {out}/{next(iter(artifacts))}")
     return EXIT_OK
 

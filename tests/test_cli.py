@@ -360,6 +360,52 @@ def test_exit_code_numeric_error(tmp_path, capsys):
     assert record["error"] == "DomainError"
 
 
+def test_non_utf8_config_exits_parse(tmp_path, capsys):
+    cfg_path = tmp_path / "utf16.cfg"
+    cfg_path.write_bytes(b"\xff\xferun.n = 10\n")
+    out = tmp_path / "u"
+    assert main(["classical", "--config", str(cfg_path), "--out", str(out)]) == 2
+    (line,) = capsys.readouterr().err.splitlines()
+    record = json.loads(line)
+    assert record["error"] == "ConfigError" and str(cfg_path) in record["message"]
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("blocked", ["histogram.csv", "summary.json"])
+def test_unwritable_artifact_exits_parse(blocked, tmp_path, capsys):
+    # a directory where an artifact goes: the write fails, leaving the
+    # artifacts written before it whole, and no temp file
+    argv = ["classical", "--n", "1000"]
+    _, whole = run_cli(argv, tmp_path, "whole")
+    out = tmp_path / "w"
+    (out / blocked).mkdir(parents=True)
+    capsys.readouterr()
+    assert main(argv + ["--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    (line,) = captured.err.splitlines()
+    record = json.loads(line)
+    assert record["error"] == "ConfigError"
+    assert record["message"].startswith("run.out:") and blocked in record["message"]
+    assert captured.out == ""
+    names = ["histogram.csv", "histogram.json", "summary.json"]
+    written = names[:names.index(blocked)]
+    assert sorted(os.listdir(out)) == sorted(written + [blocked])
+    assert all((out / name).read_bytes() == (whole / name).read_bytes() for name in written)
+
+
+def test_out_of_memory_exits_numeric(tmp_path, capsys, monkeypatch):
+    def exhausted(cfg):
+        raise MemoryError("Unable to allocate 745. GiB")
+
+    monkeypatch.setitem(cli._RUNNERS, "classical", exhausted)
+    out = tmp_path / "m"
+    assert main(["classical", "--bins", "100000000000", "--out", str(out)]) == 4
+    (line,) = capsys.readouterr().err.splitlines()
+    record = json.loads(line)
+    assert record["error"] == "DomainError" and "745. GiB" in record["message"]
+    assert os.listdir(out) == []
+
+
 def test_argparse_rejects_unknown_subcommand(capsys):
     # usage errors get the same exit code and JSON record as a bad config; a
     # flag the subcommand would not read is one, not a silent no-op
@@ -754,9 +800,10 @@ def test_abbreviated_flag_rejected(argv, tmp_path, capsys):
 def test_runtime_imports_no_scipy(fresh_python):
     # scipy is a test dependency only: its import would cost every CLI run
     # about 1.5 s.  The thread pool's concurrent.futures, which loads logging,
-    # is imported only when an ensemble runs on more than one thread.
+    # is imported only when an ensemble runs on more than one thread.  The
+    # star import loads every module behind the lazy namespace.
     out = fresh_python(
-        "import sys, sgsim, sgsim.cli; "
+        "import sys, sgsim.cli; from sgsim import *; "
         "print(sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')"
         " or m in ('concurrent.futures', 'logging')))"
     )
