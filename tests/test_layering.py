@@ -65,7 +65,6 @@ def test_a_classical_run_loads_neither_oracle_nor_experiments(fresh_python, tmp_
 def test_every_public_name_resolves_lazily(fresh_python):
     out = fresh_python(
         "import importlib, sgsim\n"
-        "assert sgsim.__all__ == sorted(sgsim._HOME) and len(sgsim.__all__) == 48\n"
         "for name in sgsim.__all__:\n"
         "    home = importlib.import_module('sgsim.' + sgsim._HOME[name])\n"
         "    assert getattr(sgsim, name) is getattr(home, name), name\n"
