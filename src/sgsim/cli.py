@@ -77,7 +77,6 @@ class RunConfig:
     bins: int = 40
     t: float | None = None
     grid_n: int = 4096
-    n_field_steps: int = 256
     phase_error: float = 0.0
     stage_gap: float = 0.0001
     separated: bool = False
@@ -95,10 +94,6 @@ class RunConfig:
             raise InvalidParameterError(f"bins must be >= 2, got {self.bins}")
         if self.seed < 0:
             raise InvalidParameterError(f"seed must be >= 0, got {self.seed}")
-        if self.n_field_steps < 1:
-            raise InvalidParameterError(
-                f"n_field_steps must be >= 1, got {self.n_field_steps}"
-            )
         if self.t is not None:
             _require_finite("t", self.t)
         _require_finite("phase_error", self.phase_error)
@@ -218,8 +213,6 @@ _KEYS = (
     _Key("packet.chi_minus", "packet.chi_minus", *_COMPLEX),
     *_floats("packet", "t_prime"),
     _Key("grid.n_points", "grid_n", *_INT, "--grid-n N", ("evolve", "oracle-compare")),
-    _Key("oracle.n_field_steps", "n_field_steps", *_INT,
-         "--n-field-steps N_FIELD_STEPS", ("oracle-compare",)),
     _Key("recombine.phase_error", "phase_error", *_FLOAT,
          "--phase-error PHASE_ERROR", ("recombine",)),
     _Key("recombine.gap", "stage_gap", *_FLOAT, "--gap GAP", ("recombine",)),
@@ -409,9 +402,7 @@ def _run_oracle_compare(cfg: RunConfig) -> _Result:
 
     t = _field_time(cfg)
     grid = analytic.suggest_grid(cfg.packet, cfg.apparatus, t, cfg.grid_n, cfg.units)
-    report = oracle.compare_analytic_oracle(
-        cfg.packet, cfg.apparatus, t, grid, cfg.units, cfg.n_field_steps
-    )
+    report = oracle.compare_analytic_oracle(cfg.packet, cfg.apparatus, t, grid, cfg.units)
     state = report.state
     columns = [grid.points, state.psi_plus.real, state.psi_plus.imag,
                state.psi_minus.real, state.psi_minus.imag]

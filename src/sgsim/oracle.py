@@ -1,15 +1,20 @@
 """Independent grid propagator: 1-D two-component split-step Fourier evolution.
 
-This realizes the time-slicing limit of the propagator construction
-numerically and is the independent check of the closed form of
-:mod:`sgsim.analytic`, in and after the field regions.  Only the z axis is
-evolved: the potential is diagonal in spin and independent of x and y, so
-those directions factor out exactly.
+This is the independent check of the closed form of :mod:`sgsim.analytic`,
+in and after the field regions, computed on a grid in Fourier space.  Only
+the z axis is evolved: the potential is diagonal in spin and independent of
+x and y, so those directions factor out exactly.
 
-Scheme: Strang splitting, exp(-i*V*dt/2) F^-1 exp(-i*T*dt) F exp(-i*V*dt/2)
-per component, with V_plus = +mu_b*B'*z and V_minus = -mu_b*B'*z while the
-packet center is inside a field window and zero otherwise (the spin-up
-branch feels a force toward -z).  The kinetic step is exact on the grid and
+Scheme: one Strang step, exp(-i*V*dt/2) F^-1 exp(-i*T*dt) F exp(-i*V*dt/2)
+per component and per constant-gradient segment of length dt, with
+V_plus = +mu_b*B'*z and V_minus = -mu_b*B'*z while the packet center is
+inside a field window and zero otherwise (the spin-up branch feels a force
+toward -z).  For a potential linear in z that step is exact up to a phase
+common to both spins, exp(i*(mu_b*B'*dt)^2*dt/(24*m*hbar)), and ``propagate``
+takes that phase out; so the oracle has no step size, and its only errors
+are the grid's aliasing and sampling, which the edge tests bound.  The
+slicing-dependent check of the closed form is the path-integral kernel in
+``tests/path_integral.py``.  The kinetic step is exact on the grid and
 unitary; the potential step is a pure phase, so the norm is conserved to
 rounding.  ``core.field_schedule`` cuts the time axis at every window edge,
 so the abrupt field never needs sub-step blending, and ``propagate`` is the
@@ -36,8 +41,6 @@ from .core import (
     apparatus_schedule,
 )
 from .errors import ExtentError, InvalidParameterError
-
-_FREE_STEPS = 16  # Strang steps per free segment (the kinetic step is exact there)
 
 
 @dataclass(frozen=True)
@@ -81,55 +84,19 @@ class GridState:
     def norm(self) -> float:
         return float(self.grid.dz * self.density().sum())
 
-    def mean_z(self) -> tuple[float, float]:
-        """Norm-weighted <z> per component (nan for an empty component)."""
-        z = self.grid.points
-        out = []
-        for psi in (self.psi_plus, self.psi_minus):
-            w = np.abs(psi) ** 2
-            total = w.sum()
-            out.append(float((z * w).sum() / total) if total > 0 else math.nan)
-        return out[0], out[1]
-
-
-def _strang(
-    psi_p: np.ndarray,
-    psi_m: np.ndarray,
-    grid: Grid1D,
-    grad_Bz: float,
-    dt: float,
-    n_steps: int,
-    units: UnitSystem,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Evolve both components for n_steps of size dt under a constant gradient."""
-    k = grid.wavenumbers
-    kinetic = np.exp(-1j * units.hbar * k * k * dt / (2.0 * units.mass))
-    # V_plus = +mu_b*B'*z, V_minus = -mu_b*B'*z
-    v = units.mu_b * grad_Bz * grid.points
-    half_p = np.exp(-1j * v * dt / (2.0 * units.hbar))
-    half_m = np.conj(half_p)
-    for _ in range(n_steps):
-        psi_p = half_p * np.fft.ifft(kinetic * np.fft.fft(half_p * psi_p))
-        psi_m = half_m * np.fft.ifft(kinetic * np.fft.fft(half_m * psi_m))
-    return psi_p, psi_m
-
 
 def propagate(
     state: GridState,
     schedule: list[tuple[float, float, float]],
-    n_field_steps: int,
     units: UnitSystem = DEFAULT_UNITS,
 ) -> GridState:
     """Step the state through the (t0, t1, grad) segments of ``schedule``,
-    which starts at ``state.t``: n_field_steps Strang steps per field segment,
-    _FREE_STEPS per free one.
+    which starts at ``state.t``: one exact Strang step per segment.
 
     Raises ExtentError when the grid cannot hold the state, in momentum
     before stepping (the largest held |k| plus the largest accumulated kick
     reaches pi/dz) or in position afterwards.
     """
-    if n_field_steps < 1:
-        raise InvalidParameterError(f"n_field_steps must be >= 1, got {n_field_steps}")
     grid = state.grid
     psi_p = np.array(state.psi_plus, dtype=complex)
     psi_m = np.array(state.psi_minus, dtype=complex)
@@ -151,10 +118,24 @@ def propagate(
     # Freeing one block larger than the state raises that threshold to the
     # block's size, and the steps reuse heap memory.  The block stays under
     # 32 MiB, glibc's cap: a larger one would leave the threshold where it is.
+    # At 16384 points and three segments that saves about 2,000 minor page
+    # faults, a third of the propagation's time.
     np.empty(min(16 * psi_p.nbytes, 16 << 20), dtype=np.uint8)
+    k2 = grid.wavenumbers ** 2
     for t0, t1, grad in schedule:
-        n = n_field_steps if grad != 0.0 else _FREE_STEPS
-        psi_p, psi_m = _strang(psi_p, psi_m, grid, grad, (t1 - t0) / n, n, units)
+        dt = t1 - t0
+        # V_plus = +F*z and V_minus = -F*z with F = mu_b*B'.  [V, [V, T]] is
+        # the c-number -F^2*hbar^2/m and [T, [T, V]] = 0, so the BCH series of
+        # the Strang step ends in one phase common to both spins; it is taken
+        # out here, and (F*dt)^2 is formed first so that it stays finite
+        # wherever the kick F*dt/hbar fits on the grid.
+        kick = units.mu_b * grad * dt
+        defect = kick * kick * dt / (24.0 * units.mass * units.hbar)
+        kinetic = np.exp(-1j * (units.hbar * dt / (2.0 * units.mass) * k2 + defect))
+        half_p = np.exp(-0.5j * kick / units.hbar * grid.points)
+        half_m = np.conj(half_p)
+        psi_p = half_p * np.fft.ifft(kinetic * np.fft.fft(half_p * psi_p))
+        psi_m = half_m * np.fft.ifft(kinetic * np.fft.fft(half_m * psi_m))
     t = schedule[-1][1] if schedule else state.t
     out = GridState(grid=grid, psi_plus=psi_p, psi_minus=psi_m, t=t)
     grid.check_extent(out.density())
@@ -167,14 +148,11 @@ def propagate_packet(
     grid: Grid1D,
     t_final: float,
     units: UnitSystem = DEFAULT_UNITS,
-    n_field_steps: int = 256,
 ) -> GridState:
     """Evolve the packet's z factor from emission to t_final on the grid,
     with the field on between t_b and t_c."""
     state = GridState.from_packet(packet, grid, units)
-    return propagate(
-        state, apparatus_schedule(apparatus, packet, t_final, units), n_field_steps, units
-    )
+    return propagate(state, apparatus_schedule(apparatus, packet, t_final, units), units)
 
 
 @dataclass(frozen=True)
@@ -223,7 +201,6 @@ def compare_analytic_oracle(
     t_final: float,
     grid: Grid1D | None = None,
     units: UnitSystem = DEFAULT_UNITS,
-    n_field_steps: int = 256,
 ) -> OracleComparison:
     """Grid-propagate the packet and compare with the closed-form z marginals
     at any time t_final after emission, inside the field region or after it.
@@ -236,7 +213,7 @@ def compare_analytic_oracle(
     """
     if grid is None:
         grid = suggest_grid(packet, apparatus, t_final, units=units)
-    state = propagate_packet(packet, apparatus, grid, t_final, units, n_field_steps)
+    state = propagate_packet(packet, apparatus, grid, t_final, units)
     field = evolve_packet(packet, apparatus, t_final, units)
     z = grid.points
     target_p = packet.chi_plus * field.z_marginal_amplitude(Branch.PLUS, z)

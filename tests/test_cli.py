@@ -100,7 +100,6 @@ def _run_configs(draw):
         bins=draw(st.integers(2, 10**6)),
         t=draw(st.none() | _finite),
         grid_n=draw(st.integers(-(10**6), 10**6)),
-        n_field_steps=draw(st.integers(1, 10**6)),
         phase_error=draw(_finite),
         stage_gap=draw(_finite),
         separated=draw(st.booleans()),
@@ -136,7 +135,6 @@ def test_config_text_golden():
         "packet.chi_minus = 0.70710678118654746+0j\n"
         "packet.t_prime = 0\n"
         "grid.n_points = 4096\n"
-        "oracle.n_field_steps = 256\n"
         "recombine.phase_error = 0\n"
         "recombine.gap = 0.0001\n"
         "recombine.separated = false\n"
@@ -170,9 +168,8 @@ def test_non_numeric_value_rejected():
 
 @pytest.mark.parametrize(
     "changes",
-    [{"seed": -1}, {"n_field_steps": 0}, {"n_field_steps": -3}, {"t": math.inf},
-     {"t": math.nan}, {"phase_error": math.inf}, {"stage_gap": math.nan},
-     {"layers": ((5.0, math.inf, 1.0),)}],
+    [{"seed": -1}, {"t": math.inf}, {"t": math.nan}, {"phase_error": math.inf},
+     {"stage_gap": math.nan}, {"layers": ((5.0, math.inf, 1.0),)}],
     ids=lambda c: "-".join(f"{k}={v}" for k, v in c.items()),
 )
 def test_run_config_bounds(changes):
@@ -438,14 +435,34 @@ def test_csv_floats_have_full_precision(tmp_path):
 
 
 def test_cli_bounds_exit_validation(tmp_path, capsys):
-    for argv in (
-        ["oracle-compare", "--n-field-steps", "-3"],
-        ["oracle-compare", "--n-field-steps", "0"],
-        ["classical", "--seed", "-1"],
-    ):
-        assert main(argv + ["--out", str(tmp_path / "x")]) == 3
-        record = json.loads(capsys.readouterr().err)
-        assert record["error"] == "InvalidParameterError"
+    assert main(["classical", "--seed", "-1", "--out", str(tmp_path / "x")]) == 3
+    record = json.loads(capsys.readouterr().err)
+    assert record["error"] == "InvalidParameterError"
+
+
+def _one_config_error(capsys) -> str:
+    (line,) = capsys.readouterr().err.splitlines()
+    record = json.loads(line)
+    assert record["error"] == "ConfigError"
+    return record["message"]
+
+
+def test_removed_step_count_key_exits_parse(tmp_path, capsys):
+    # the oracle has no step count: a config file that still sets one is
+    # refused as an unknown key, and nothing is written
+    cfg_path = tmp_path / "old.cfg"
+    cfg_path.write_text("run.experiment = oracle-compare\noracle.n_field_steps = 256\n")
+    out = tmp_path / "out"
+    assert main(["oracle-compare", "--config", str(cfg_path), "--out", str(out)]) == 2
+    assert "oracle.n_field_steps" in _one_config_error(capsys)
+    assert not out.exists()
+
+
+def test_removed_step_count_flag_exits_parse(tmp_path, capsys):
+    out = tmp_path / "out"
+    assert main(["oracle-compare", "--n-field-steps", "4", "--out", str(out)]) == 2
+    assert "--n-field-steps" in _one_config_error(capsys)
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("experiment", ["evolve", "density"])
@@ -570,7 +587,7 @@ def test_flags_per_subcommand(capsys):
         "evolve": {"--t", "--grid-n"},
         "density": {"--t"},
         "meanfield": {"--n", "--seed", "--bins", "--t"},
-        "oracle-compare": {"--t", "--grid-n", "--n-field-steps"},
+        "oracle-compare": {"--t", "--grid-n"},
         "backtrack": set(),
         "recombine": {"--phase-error", "--gap", "--separated"},
         "sandwich": {"--bins", "--t", "--layers"},
@@ -583,7 +600,7 @@ def test_flags_per_subcommand(capsys):
         flags = set(re.findall(r"--[\w-]+", capsys.readouterr().out))
         assert flags == {"--help", "--config", "--out"} | reads[name], name
         offered += len(flags - {"--help", "--config"})
-    assert offered == 27
+    assert offered == 26
 
 
 def test_config_file_sets_any_key(tmp_path):
@@ -648,7 +665,7 @@ def test_readme_artifact_table_matches_runners():
         listed[command] = re.findall(r"`([^`]+)`", files_cell)
     returned = {}
     for name in EXPERIMENTS:
-        cfg = replace(default_config(name), n=500, grid_n=512, n_field_steps=4)
+        cfg = replace(default_config(name), n=500, grid_n=512)
         _, artifacts = cli._RUNNERS[name](cfg)
         returned[name] = list(artifacts)
     assert listed == returned
@@ -723,12 +740,11 @@ def test_main_never_raises_on_any_argv(command, args):
 
 # Small sizes, so that every experiment runs in milliseconds; the drawn
 # overrides below follow them in the config file and win.
-_SMALL = "run.n = 500\nrun.bins = 16\ngrid.n_points = 512\noracle.n_field_steps = 4\n"
+_SMALL = "run.n = 500\nrun.bins = 16\ngrid.n_points = 512\n"
 _EXTREMES = {
     "run.n": ["1", "2000"],
     "run.bins": ["2", "200"],
     "grid.n_points": ["256", "1024", "300"],
-    "oracle.n_field_steps": ["1", "16"],
     "run.t": ["-1", "0", "1e-300", "0.5", "0.55", "5.6", "100", "1e8", "1e300"],
     "apparatus.grad_Bz": ["0", "1e-300", "-100", "1e8", "1e160", "-1e300"],
     "apparatus.y_d": ["6.5", "1e6", "1e300"],

@@ -217,7 +217,7 @@ def test_peak_finder_matches_scipy_on_sandwich_densities(sigma, grad, t_final, n
         grid = Grid1D(-half, half, n_points)
     grid = sandwich(pkt, LayerStack((Layer(5.0, 6.0, grad),)), t_final, grid=grid).grid
     schedule = field_schedule(0.0, t_final, [(0.5, 0.6, grad)])  # beam speed 10
-    density = propagate(GridState.from_packet(pkt, grid), schedule, 128).density()
+    density = propagate(GridState.from_packet(pkt, grid), schedule).density()
     coordinates = grid.points
     _assert_peaks_match_scipy(density, coordinates)
     _assert_peaks_match_scipy(np.convolve(density, np.ones(3) / 3.0, mode="same"), coordinates)

@@ -73,6 +73,12 @@ def test_every_public_name_resolves_lazily(fresh_python):
     assert out.strip() == "ok"
 
 
+def test_no_public_name_is_exported_twice():
+    # a name listed under two submodules would resolve to the last of them
+    names = [name for names in sgsim._EXPORTS.values() for name in names]
+    assert sorted(names) == sgsim.__all__
+
+
 def test_dir_covers_all(fresh_python):
     out = fresh_python("import sgsim; print(sorted(set(sgsim.__all__) - set(dir(sgsim))))")
     assert out.strip() == "[]"
