@@ -176,8 +176,15 @@ class SpinorField:
         Re(1/f) = 1/|f|^2.  The one z density of a branch (s = -+1) or of
         the mean-field state (s = <mu_z>/mu_b)."""
         w = self.width
-        dz = np.asarray(z) - self.kicked_center(s)
-        return np.exp(-dz * dz / (w * w)) / (math.sqrt(math.pi) * w)
+        # one array, in the order of exp(-dz * dz / (w * w)) / (sqrt(pi) * w)
+        dz = np.array(z, dtype=float)
+        dz -= self.kicked_center(s)
+        np.multiply(dz, dz, out=dz)
+        np.negative(dz, out=dz)
+        dz /= w * w
+        np.exp(dz, out=dz)
+        dz /= math.sqrt(math.pi) * w
+        return dz if dz.ndim else dz[()]  # a scalar for a scalar z
 
     def branch_mass(self, s: float, edges) -> np.ndarray:
         """Exact mass of ``branch_density(s)`` between consecutive ascending
@@ -199,12 +206,12 @@ class SpinorField:
     def z_marginal_density(self, z):
         """|chi_+|^2 * branch_density(-1) + |chi_-|^2 * branch_density(+1),
         exact x/y integration; ``branch_density`` is the one z density."""
-        return (
-            self.branch_density(Branch.PLUS.deflection_sign, z)
-            * abs(self.packet.chi_plus) ** 2
-            + self.branch_density(Branch.MINUS.deflection_sign, z)
-            * abs(self.packet.chi_minus) ** 2
-        )
+        density = self.branch_density(Branch.PLUS.deflection_sign, z)
+        density *= abs(self.packet.chi_plus) ** 2
+        minus = self.branch_density(Branch.MINUS.deflection_sign, z)
+        minus *= abs(self.packet.chi_minus) ** 2
+        density += minus
+        return density
 
     def sample_grid(self, x, y, z):
         """Sample both components on the outer product of coordinate arrays.
@@ -261,7 +268,10 @@ class Grid1D:
 
     @property
     def points(self) -> np.ndarray:
-        return self.z_min + self.dz * np.arange(self.n_points)
+        points = np.arange(self.n_points, dtype=float)
+        points *= self.dz
+        points += self.z_min
+        return points
 
     @property
     def wavenumbers(self) -> np.ndarray:

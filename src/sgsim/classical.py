@@ -94,10 +94,6 @@ class Histogram:
     def to_json_text(self) -> str:
         return json.dumps(self.to_json_dict(), sort_keys=True) + "\n"
 
-    @classmethod
-    def from_json_dict(cls, d: dict) -> "Histogram":
-        return cls(np.asarray(d["edges"], float), np.asarray(d["counts"]), int(d["n_total"]))
-
 
 def classical_trajectory(
     mu_z: float,

@@ -57,12 +57,23 @@ _NOMINAL_COUNTS = 1_000_000  # counts per unit of the closed form's exact bin ma
 def _local_maxima(x: np.ndarray) -> np.ndarray:
     """Indices of the local maxima of x: the middle (rounded down) of every
     plateau whose neighbours on both sides are strictly lower.  The two ends
-    never count."""
-    starts = np.flatnonzero(np.r_[True, x[1:] != x[:-1]])
-    ends = np.r_[starts[1:] - 1, x.size - 1]
-    v = x[starts]
-    inner = (v[1:-1] > v[:-2]) & (v[1:-1] > v[2:])
-    return (starts[1:-1][inner] + ends[1:-1][inner]) // 2
+    never count.
+
+    A candidate is a sample above its left neighbour and not below its right
+    one, so it starts a plateau entered rising; walking right to the
+    plateau's last sample keeps it when the next sample is lower and drops it
+    when the next is higher or the plateau reaches the end."""
+    mid = x[1:-1]
+    candidates = np.flatnonzero((mid > x[:-2]) & (mid >= x[2:])) + 1
+    peaks = []
+    last = x.size - 1
+    for start in candidates.tolist():
+        end = start
+        while end < last and x[end + 1] == x[start]:
+            end += 1
+        if end < last and x[end + 1] < x[start]:
+            peaks.append((start + end) // 2)
+    return np.array(peaks, dtype=np.intp)
 
 
 def _valley_walk(heights: list[float], valleys: list[float], passes) -> np.ndarray:

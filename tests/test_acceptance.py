@@ -205,36 +205,40 @@ def test_acceptance_8_recombination():
     )
 
 
-def test_acceptance_9_split_condition():
-    from sgsim import dispersion_factor as df
+def _split_threshold(sigma):
+    """Least gradient of the layer 5:6 that splits a packet of width sigma at
+    t = 50: 18 geometric bisection steps on [0.05, 60], on a 16384-point grid
+    of the branch drift v_z*(t - t_bar) plus eight final widths."""
+    pkt = GaussianPacket(sigma=sigma)
+    t_final = 50.0
 
+    def splits(g):
+        v_z = 0.1 * g
+        half = (
+            1.25 * (v_z * (t_final - 0.55) + 8 * sigma * abs(dispersion_factor(t_final, sigma)))
+            + sigma
+        )
+        res = sandwich(
+            pkt, LayerStack((Layer(5.0, 6.0, g),)), t_final,
+            grid=Grid1D(-half, half, 16384),
+        )
+        return res.peak_count >= 2
+
+    lo, hi = 0.05, 60.0
+    for _ in range(18):
+        mid = math.sqrt(lo * hi)
+        if splits(mid):
+            hi = mid
+        else:
+            lo = mid
+    return hi
+
+
+def test_acceptance_9_split_condition():
     start = time.time()
     strong = sandwich(PACKET, LayerStack((Layer(5.0, 6.0, 100.0),)), 5.6)
     weak = sandwich(PACKET, LayerStack((Layer(5.0, 6.0, 1.0),)), 5.6)
-
-    def min_gradient(sigma):
-        pkt = GaussianPacket(sigma=sigma)
-        t_final = 50.0
-
-        def splits(g):
-            v_z = 0.1 * g
-            half = 1.25 * (v_z * (t_final - 0.55) + 8 * sigma * abs(df(t_final, sigma))) + sigma
-            res = sandwich(
-                pkt, LayerStack((Layer(5.0, 6.0, g),)), t_final,
-                grid=Grid1D(-half, half, 16384),
-            )
-            return res.peak_count >= 2
-
-        lo, hi = 0.05, 60.0
-        for _ in range(18):
-            mid = math.sqrt(lo * hi)
-            if splits(mid):
-                hi = mid
-            else:
-                lo = mid
-        return hi
-
-    thresholds = [min_gradient(s) for s in (1.0, 2.0, 4.0)]
+    thresholds = [_split_threshold(s) for s in (1.0, 2.0, 4.0)]
     elapsed = time.time() - start
     ok = (
         strong.peak_count == 2
@@ -247,6 +251,14 @@ def test_acceptance_9_split_condition():
         f"kappa=10: {strong.peak_count} peaks, kappa=0.1: {weak.peak_count}, "
         f"thresholds {['%.2f' % x for x in thresholds]}, {elapsed:.1f} s"
     )
+
+
+def test_split_thresholds_are_pinned_bit_for_bit():
+    # Exact values: a change to the density, its grid points or the peak
+    # detector that moves one bit of what the detector sees can move a
+    # threshold, so this guards "same outputs" for the whole sandwich path.
+    thresholds = [_split_threshold(s) for s in (1.0, 2.0, 4.0)]
+    assert thresholds == [8.176254216891031, 4.1003060726061085, 2.145688125476484]
 
 
 def test_acceptance_10_numerics_hygiene():

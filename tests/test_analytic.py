@@ -370,6 +370,78 @@ def test_branch_density_matches_mpmath(default_apparatus, packet):
             assert np.all(np.abs(field.z_marginal_density(z) - want) <= bound * want)
 
 
+def _reference_branch_density(field, s, z):
+    """The branch density as one expression: the in-place version must equal it
+    bit for bit."""
+    w = field.width
+    dz = np.asarray(z) - field.kicked_center(s)
+    return np.exp(-dz * dz / (w * w)) / (math.sqrt(math.pi) * w)
+
+
+def _bits(x):
+    x = np.asarray(x)
+    return x.dtype, x.shape, x.tobytes()
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    z=st.lists(st.floats(allow_nan=False), min_size=1, max_size=40),
+    s=st.floats(min_value=-1.0, max_value=1.0),
+    sigma=st.floats(min_value=1e-3, max_value=1e3),
+    tau=st.floats(min_value=0.0, max_value=1e4),
+    q=st.floats(min_value=-1e4, max_value=1e4),
+    a=st.floats(min_value=0.0, max_value=1.0),
+)
+def test_in_place_density_is_bitwise_the_expression(z, s, sigma, tau, q, a):
+    packet = GaussianPacket(sigma=sigma, chi_plus=a, chi_minus=math.sqrt(1.0 - a * a))
+    field = SpinorField(packet, DEFAULT_UNITS, tau, (0.0, q, 0.0), 0.0)
+    z = np.array(z)
+    with np.errstate(all="ignore"):
+        assert _bits(field.branch_density(s, z)) == _bits(_reference_branch_density(field, s, z))
+        want = (
+            _reference_branch_density(field, -1, z) * abs(packet.chi_plus) ** 2
+            + _reference_branch_density(field, 1, z) * abs(packet.chi_minus) ** 2
+        )
+        assert _bits(field.z_marginal_density(z)) == _bits(want)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    z_min=st.floats(min_value=-1e6, max_value=1e6),
+    span=st.floats(min_value=1e-6, max_value=1e6),
+    log2_n=st.integers(8, 14),
+)
+def test_grid_points_are_bitwise_the_expression(z_min, span, log2_n):
+    grid = Grid1D(z_min, z_min + span, 2 ** log2_n)
+    want = _bits(grid.z_min + grid.dz * np.arange(grid.n_points))
+    points = grid.points
+    assert _bits(points) == want
+    points[:] = 0.0  # each call builds its own array
+    assert _bits(grid.points) == want
+
+
+def test_in_place_density_leaves_its_input_alone(default_apparatus, default_packet):
+    field = evolve_packet(default_packet, default_apparatus, 5.6)
+    for z in (np.linspace(-20.0, 20.0, 101), np.arange(-20, 21)):
+        before = z.copy()
+        for density in (field.branch_density(-1, z), field.z_marginal_density(z)):
+            assert not np.shares_memory(density, z)
+        assert _bits(z) == _bits(before)
+
+
+def test_in_place_density_takes_scalars_lists_and_ints(default_apparatus, default_packet):
+    field = evolve_packet(default_packet, default_apparatus, 5.6)
+    for read in (lambda z: field.branch_density(1, z), field.z_marginal_density):
+        for z in (0.0, 3, np.float64(2.5)):
+            value = read(z)
+            assert type(value) is np.float64
+            assert value == read(np.array([float(z)]))[0]
+        ints = np.arange(-5, 6)
+        want = read(ints.astype(float))
+        assert _bits(read(ints)) == _bits(want)
+        assert _bits(read(ints.tolist())) == _bits(want)
+
+
 @pytest.mark.parametrize("packet", PACKETS)
 def test_branch_mass_matches_mpmath_quadrature(default_apparatus, packet):
     # bins in widths from the center: across it, beside it, and in both

@@ -1,6 +1,7 @@
 import math
 import platform
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -15,12 +16,16 @@ from sgsim import (
     Grid1D,
     GridState,
     InvalidParameterError,
+    Layer,
+    LayerStack,
     classical_trajectory,
     compare_analytic_oracle,
     derive_timing,
     detection_time,
+    dispersion_factor,
     propagate,
     propagate_packet,
+    sandwich,
     suggest_grid,
 )
 from sgsim.core import field_schedule
@@ -299,3 +304,24 @@ def test_propagate_reuses_heap_memory(fresh_python):
     # Run in a fresh process that has not imported scipy, whose import
     # happens to hide the problem.
     assert int(fresh_python(_FAULT_PROBE)) < 200
+
+
+def test_sandwich_temporaries_fit_in_four_grid_arrays():
+    # One sandwich call of the split-threshold bisection (sigma = 1, g = 8,
+    # 16384 points).  Grid-sized temporaries above glibc's heap-trim
+    # threshold are handed back to the OS and faulted in again on every
+    # call, so the call must build its density and peak search in place:
+    # under four 128 KiB grid arrays at its peak.  tracemalloc rather than
+    # page faults, whose count depends on the heap's layout.
+    sigma, g, t = 1.0, 8.0, 50.0
+    half = 1.25 * (0.1 * g * (t - 0.55) + 8 * sigma * abs(dispersion_factor(t, sigma))) + sigma
+    args = (GaussianPacket(sigma=sigma), LayerStack((Layer(5.0, 6.0, g),)), t)
+    grid = Grid1D(-half, half, 16384)
+    sandwich(*args, grid=grid)
+    tracemalloc.start()
+    try:
+        sandwich(*args, grid=grid)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * 16384 * 8
