@@ -58,6 +58,20 @@ _erf = np.frompyfunc(math.erf, 1, 1)  # elementwise math.erf
 _erfc = np.frompyfunc(math.erfc, 1, 1)
 
 
+def _even_bin_mass(u: np.ndarray, outside: np.ndarray, inside: np.ndarray) -> np.ndarray:
+    """Mass between consecutive ascending points u of a distribution even
+    about 0, from its mass ``outside`` and ``inside`` [-|u|, |u|] at each
+    point: half the difference of the outside masses for a bin on one side
+    of 0, where the inside masses would subtract two values near 1 and keep
+    only their absolute precision, and half the sum of the inside masses
+    for a bin across 0."""
+    lo, hi = u[:-1], u[1:]
+    return 0.5 * np.where(
+        lo >= 0.0, outside[:-1] - outside[1:],
+        np.where(hi <= 0.0, outside[1:] - outside[:-1], inside[:-1] + inside[1:]),
+    )
+
+
 def dispersion_factor(tau: float, sigma: float, units: UnitSystem = DEFAULT_UNITS) -> complex:
     """f(tau) = 1 + i*hbar*tau/(m*sigma^2); |f| is the width-growth factor."""
     m_sigma2 = units.mass * sigma * sigma
@@ -195,13 +209,8 @@ class SpinorField:
         absolute precision."""
         u = (np.asarray(edges, dtype=float) - self.kicked_center(s)) / self.width
         a = np.abs(u)
-        tail = np.asarray(_erfc(a), dtype=float)
-        core = np.asarray(_erf(a), dtype=float)
-        lo, hi = u[:-1], u[1:]
-        return 0.5 * np.where(
-            lo >= 0.0, tail[:-1] - tail[1:],
-            np.where(hi <= 0.0, tail[1:] - tail[:-1], core[:-1] + core[1:]),
-        )
+        tail, core = (np.asarray(f(a), dtype=float) for f in (_erfc, _erf))
+        return _even_bin_mass(u, tail, core)
 
     def z_marginal_density(self, z):
         """|chi_+|^2 * branch_density(-1) + |chi_-|^2 * branch_density(+1),

@@ -1,19 +1,20 @@
-"""Classical trajectories and the isotropic-spin Monte-Carlo ensemble.
+"""Classical trajectories and the isotropic-spin ensemble.
 
-The ensemble samples cos(beta) uniformly on [-1, 1] (isotropy reduces the
-solid-angle measure to exactly that) and histograms the detector deflections
-z_d = -z_max * cos(beta), which gives the "expected" flat distribution.
+For isotropic spins cos(beta) is uniform on [-1, 1] (isotropy reduces the
+solid-angle measure to exactly that), so the detector deflection
+z_d = -z_max * cos(beta) is uniform on [-z_max, z_max]: the "expected" flat
+distribution.  The histogram of n such spins is Multinomial(n, p) over the
+bins' exact masses p and the mass outside the edges, and it is drawn as one
+multinomial draw (``Histogram.draw``), in O(bins) time and memory for any n.
 
-RNG: numpy's PCG64 via ``default_rng``.  A 64-bit run seed is expanded with
-``SeedSequence.spawn`` into a fixed number of sub-streams, so histograms are
-bit-reproducible regardless of how many worker threads process the chunks.
+RNG: numpy's PCG64 via ``default_rng(seed)``, so a seed gives the same
+counts on every run.
 """
 
 from __future__ import annotations
 
 import json
 import math
-import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -29,7 +30,8 @@ from .core import (
 )
 from .errors import DomainError, InvalidParameterError
 
-_CHUNK = 1 << 18  # samples per RNG sub-stream
+_CHUNK = 1 << 18  # samples per RNG sub-stream of chunked_samples
+_MAX_DRAWS = 2**63 - 1  # numpy draws counts as int64
 
 
 @dataclass(frozen=True)
@@ -63,6 +65,33 @@ class Histogram:
                 f"counts sum {int(counts.sum())} != n_total {self.n_total}"
             )
 
+    @classmethod
+    def draw(cls, n: int, seed: int, edges, masses, outside: float) -> "Histogram":
+        """Counts of n independent draws from a distribution whose mass is
+        ``masses[i]`` in bin i and ``outside`` beyond the edges: one
+        Multinomial(n, [*masses, outside]) draw of ``default_rng(seed)``.
+
+        Draws outside the edges are not binned: n_total counts the rest.  The
+        masses are clipped to [0, 1] and scaled down if their sum passes 1,
+        so numpy's check sum(pvals[:-1]) <= 1 always holds.  numpy gives the
+        last category whatever the others leave, so the heaviest category is
+        drawn last: it absorbs the rounding of the masses' sum, and a
+        category of mass 0 gets no draw.
+        """
+        if n < 1:
+            raise InvalidParameterError(f"ensemble size must be >= 1, got {n}")
+        if n > _MAX_DRAWS:
+            raise DomainError(f"ensemble size {n} exceeds {_MAX_DRAWS}, the largest draw")
+        p = np.clip(np.append(masses, outside), 0.0, 1.0)
+        p /= max(1.0, math.fsum(p))
+        order = np.arange(p.size)
+        heaviest = int(np.argmax(p))
+        order[[heaviest, -1]] = order[[-1, heaviest]]
+        counts = np.empty(p.size, dtype=np.int64)
+        counts[order] = np.random.default_rng(seed).multinomial(n, p[order])
+        return cls(edges=edges, counts=counts[:-1], n_total=n - int(counts[-1]))
+
+    # Not called by sgsim: the benchmark's tracer wraps it by name (ROADMAP open item 1).
     @classmethod
     def from_samples(cls, samples: np.ndarray, edges: np.ndarray) -> "Histogram":
         """Bin samples; values outside the edges are dropped, and n_total
@@ -131,46 +160,38 @@ def deflection(
     return -timing.z_max * math.cos(beta)
 
 
-def _worker_count() -> int:
-    raw = os.environ.get("SG_SIM_THREADS", "1")
-    try:
-        n = int(raw)
-    except ValueError:
-        raise InvalidParameterError(f"SG_SIM_THREADS must be an integer, got {raw!r}")
-    return max(1, n)
-
-
+# Not called by sgsim: the benchmark's tracer wraps it by name (ROADMAP open item 1).
 def chunked_samples(n: int, seed: int, sampler) -> np.ndarray:
-    """Draw n samples deterministically from fixed-size sub-seeded chunks.
-
-    ``sampler(rng, size)`` produces one chunk.  Chunk boundaries depend only
-    on n, and chunks are merged in order, so the result is identical whether
-    chunks run serially or on a thread pool (capped by SG_SIM_THREADS).
-    """
+    """Draw n samples deterministically from fixed-size sub-seeded chunks;
+    ``sampler(rng, size)`` produces one chunk."""
     if n < 1:
         raise InvalidParameterError(f"sample count must be >= 1, got {n}")
     sizes = [_CHUNK] * (n // _CHUNK)
     if n % _CHUNK:
         sizes.append(n % _CHUNK)
     children = np.random.SeedSequence(seed).spawn(len(sizes))
-    jobs = [(np.random.default_rng(child), size) for child, size in zip(children, sizes)]
-    workers = min(_worker_count(), len(jobs))
-    if workers == 1:
-        parts = [sampler(rng, size) for rng, size in jobs]
-    else:
-        # imported here: concurrent.futures pulls in logging, which every
-        # process would otherwise pay for at import
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            parts = list(pool.map(lambda job: sampler(*job), jobs))
-    return np.concatenate(parts)
+    return np.concatenate(
+        [sampler(np.random.default_rng(child), size) for child, size in zip(children, sizes)]
+    )
 
 
 def default_edges(z_max: float, bins: int) -> np.ndarray:
     """Equal-width bin edges over [-z_max, z_max]; [-1, 1] when z_max = 0."""
     span = z_max if z_max > 0 else 1.0
     return np.linspace(-span, span, bins + 1)
+
+
+def classical_ensemble_mass(edges, z_max: float) -> tuple[np.ndarray, float]:
+    """Exact masses of z_d uniform on [-z_max, z_max]: each bin's overlap with
+    that interval over 2*z_max, for ascending edges, and the mass outside
+    the edges.  At z_max = 0 the point mass at 0 lies in the bin that
+    ``np.histogram`` puts 0 in (the last bin is closed), or outside."""
+    edges = np.asarray(edges, dtype=float)
+    if z_max > 0.0:
+        u = np.clip(edges, -z_max, z_max) / z_max
+        return 0.5 * np.diff(u), 0.5 * ((1.0 + u[0]) + (1.0 - u[-1]))
+    mass = np.histogram([0.0], bins=edges)[0].astype(float)
+    return mass, 1.0 - float(mass.sum())
 
 
 def classical_ensemble(
@@ -181,20 +202,17 @@ def classical_ensemble(
     bins: int | np.ndarray = 40,
     units: UnitSystem = DEFAULT_UNITS,
 ) -> Histogram:
-    """Histogram of z_d over n isotropically oriented spins.
+    """Histogram of z_d over n isotropically oriented spins: one multinomial
+    draw over ``classical_ensemble_mass``.
 
     Deterministic for a fixed seed.  ``bins`` is either a bin count over
-    [-z_max, z_max] or an explicit edge array.
+    [-z_max, z_max] or an explicit edge array; draws outside the edges are
+    not binned, so n_total may be below n.
     """
-    if n < 1:
-        raise InvalidParameterError(f"ensemble size must be >= 1, got {n}")
     timing = derive_timing(apparatus, packet, units)
     edges = (
         default_edges(timing.z_max, int(bins))
         if np.isscalar(bins)
         else np.asarray(bins, dtype=float)
     )
-    z_d = chunked_samples(
-        n, seed, lambda rng, size: -timing.z_max * rng.uniform(-1.0, 1.0, size)
-    )
-    return Histogram.from_samples(z_d, edges)
+    return Histogram.draw(n, seed, edges, *classical_ensemble_mass(edges, timing.z_max))

@@ -323,7 +323,8 @@ def _run_classical(cfg: RunConfig) -> _Result:
     return f"classical: n={cfg.n} z_max={_g(timing.z_max)}", {
         "histogram.csv": hist.to_csv_text(),
         "histogram.json": hist.to_json_text(),
-        "summary.json": _json_text({"experiment": "classical", "n": cfg.n, "seed": cfg.seed,
+        "summary.json": _json_text({"experiment": "classical", "n": cfg.n,
+                                    "n_outside": cfg.n - hist.n_total, "seed": cfg.seed,
                                     "z_max": timing.z_max, "v_z": timing.v_z}),
     }
 
@@ -393,6 +394,7 @@ def _run_meanfield(cfg: RunConfig) -> _Result:
         "histogram.csv": hist.to_csv_text(),
         "histogram.json": hist.to_json_text(),
         "summary.json": _json_text({"experiment": "meanfield", "n": cfg.n,
+                                    "n_outside": cfg.n - hist.n_total,
                                     "seed": cfg.seed, "t": t}),
     }
 

@@ -6,7 +6,10 @@ Gaussian centered at z = (<mu_z>/mu_b) * q, with q the kick integral of the
 field schedule: the closed form's z factor (``SpinorField.z_factor``) with
 the kick scaled by <mu_z>/mu_b.
 Averaged over an isotropic spin ensemble this recreates the flat classical
-distribution, smoothed by the packet width.
+distribution, smoothed by the packet width.  The histogram of n such spins is
+Multinomial(n, p) over that distribution's exact bin masses p
+(``meanfield_ensemble_mass``) and the mass outside the edges, drawn as one
+multinomial draw (``Histogram.draw``).
 
 <mu_z> is frozen at its initial value (to lowest order in B the spin part is
 constant); no self-consistent iteration is performed.  The state is the
@@ -23,7 +26,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .analytic import SpinorField, _erf, _erfc, evolve_packet
+from .analytic import SpinorField, _erf, _erfc, _even_bin_mass, evolve_packet
+# chunked_samples is not called here: the benchmark's tracer wraps it (ROADMAP open item 1)
 from .classical import Histogram, chunked_samples
 from .core import Apparatus, DEFAULT_UNITS, GaussianPacket, UnitSystem
 from .errors import InvalidParameterError
@@ -104,27 +108,24 @@ def meanfield_ensemble(
     bins: int | np.ndarray = 60,
     units: UnitSystem = DEFAULT_UNITS,
 ) -> Histogram:
-    """Histogram of detector draws over isotropic spin orientations.
+    """Histogram of detector positions over n isotropic spin orientations:
+    one multinomial draw over ``meanfield_ensemble_mass``.
 
-    Each sample draws cos(beta) uniform on [-1, 1] and one z from the
-    corresponding mean-field Gaussian.  Deterministic for a fixed seed.
+    A spin of polar angle beta lands in the mean-field Gaussian centered at
+    -cos(beta) times the kick, with cos(beta) uniform on [-1, 1], so the
+    ensemble density is ``meanfield_ensemble_density``.  Deterministic for a
+    fixed seed.  ``bins`` is either a bin count over [-(span + 5 sd),
+    span + 5 sd] or an explicit edge array; draws outside the edges are not
+    binned, so n_total may be below n.
     """
-    if n < 1:
-        raise InvalidParameterError(f"ensemble size must be >= 1, got {n}")
     fld = evolve_packet(packet, apparatus, t, units)
     span = abs(fld.kicked_center(1.0))
     sd = fld.width / math.sqrt(2.0)
-
-    def sampler(rng, size):
-        # <mu_z>/mu_b = -cos(beta), with cos(beta) uniform on [-1, 1]
-        return rng.normal(fld.kicked_center(-rng.uniform(-1.0, 1.0, size)), sd)
-
-    samples = chunked_samples(n, seed, sampler)
     if np.isscalar(bins):
         edges = np.linspace(-(span + 5.0 * sd), span + 5.0 * sd, int(bins) + 1)
     else:
         edges = np.asarray(bins, dtype=float)
-    return Histogram.from_samples(samples, edges)
+    return Histogram.draw(n, seed, edges, *meanfield_ensemble_mass(edges, span, sd))
 
 
 def meanfield_ensemble_density(z, span: float, sd: float):
@@ -145,3 +146,56 @@ def meanfield_ensemble_density(z, span: float, sd: float):
     diff = np.where(b > 0.0, _erfc(b) - _erfc(a), _erf(a) - _erf(b))
     # the ufuncs give Python floats (a bare one for 0-d input); back to floats
     return np.asarray(diff, dtype=float) / (4.0 * span)
+
+
+def _phi(x):
+    """Standard normal density; |x| is capped where it is 0 anyway, so that
+    x*x cannot overflow."""
+    x = np.minimum(np.abs(x), 40.0)
+    return np.exp(-0.5 * x * x) / math.sqrt(2.0 * math.pi)
+
+
+def meanfield_ensemble_mass(edges, span: float, sd: float) -> tuple[np.ndarray, float]:
+    """Exact masses of ``meanfield_ensemble_density`` between consecutive
+    ascending edges, and its mass outside the edges.
+
+    The density's CDF is (sd/(2*span))*[G((z+span)/sd) - G((z-span)/sd)],
+    with G(x) = x*Phi(x) + phi(x) the antiderivative of Phi.  At each edge,
+    with b = (|z| - span)/sd and c = (|z| + span)/sd, the mass outside
+    [-|z|, |z|] is (sd/span)*[G(-b) - G(-c)] beyond the span (b > 0), with
+    G(-x) = phi(x) - x*Phi(-x) and Phi(-x) from erfc, so that the tails keep
+    their relative precision (to about x^4 ulp, as phi(x)'s exponent rounds
+    and G(-x) cancels to phi(x)/x^2), and the mass inside is
+    (sd/(2*span))*[H(c) - H(b)] within it, with H(x) = G(x) + G(-x) =
+    x*erf(x/sqrt(2)) + 2*phi(x): the erfc/erf split of the density.  Reduces
+    to the bare Gaussian's erfc and erf as span -> 0.
+    """
+    z = np.asarray(edges, dtype=float)
+    a = np.abs(z)
+    if span <= 1e-8 * sd:  # the bare-Gaussian limit, as in the density
+        x = a / (sd * math.sqrt(2.0))
+        tail = np.asarray(_erfc(x), dtype=float)
+        core = np.asarray(_erf(x), dtype=float)
+    else:
+        b = (a - span) / sd
+        c = (a + span) / sd
+
+        def g_minus(x):  # G(-x)
+            return _phi(x) - 0.5 * x * np.asarray(_erfc(x / math.sqrt(2.0)), dtype=float)
+
+        def h(x):
+            return x * np.asarray(_erf(x / math.sqrt(2.0)), dtype=float) + 2.0 * _phi(x)
+
+        beyond = b > 0.0
+        outside = (sd / span) * (g_minus(b) - g_minus(c))
+        inside = (sd / (2.0 * span)) * (h(c) - h(b))
+        tail = np.where(beyond, outside, 1.0 - inside)
+        core = np.where(beyond, 1.0 - outside, inside)
+    # the points -inf and +inf, with nothing outside and everything inside,
+    # make the masses below and above the edges the first and last "bins"
+    mass = _even_bin_mass(
+        np.concatenate(([-np.inf], z, [np.inf])),
+        np.concatenate(([0.0], tail, [0.0])),
+        np.concatenate(([1.0], core, [1.0])),
+    )
+    return mass[1:-1], float(mass[0] + mass[-1])

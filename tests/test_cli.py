@@ -316,6 +316,29 @@ def test_meanfield_artifacts(tmp_path):
     assert sum(hist["counts"]) == hist["n_total"]
 
 
+@pytest.mark.parametrize("experiment", ["classical", "meanfield"])
+def test_huge_ensemble_runs_at_once(experiment, tmp_path):
+    # one multinomial draw: no time or memory per draw, and the draws
+    # outside the edges are counted in summary.json
+    n = 10**18
+    code, out = run_cli([experiment, "--n", str(n)], tmp_path, "huge")
+    assert code == 0
+    hist = json.loads((out / "histogram.json").read_text())
+    summary = json.loads((out / "summary.json").read_text())
+    assert sum(hist["counts"]) == hist["n_total"] <= n
+    assert summary["n_outside"] == n - hist["n_total"]
+
+
+@pytest.mark.parametrize("experiment", ["classical", "meanfield"])
+def test_ensemble_beyond_int64_exits_domain(experiment, tmp_path, capsys):
+    # numpy draws the counts as int64
+    code, out = run_cli([experiment, "--n", str(2**63)], tmp_path, "over")
+    assert code == 4
+    (line,) = capsys.readouterr().err.splitlines()
+    assert json.loads(line)["error"] == "DomainError"
+    assert not out.exists() or os.listdir(out) == []
+
+
 # ---------------------------------------------------------------------------
 # determinism and exit codes
 
@@ -815,9 +838,8 @@ def test_abbreviated_flag_rejected(argv, tmp_path, capsys):
 
 def test_runtime_imports_no_scipy(fresh_python):
     # scipy is a test dependency only: its import would cost every CLI run
-    # about 1.5 s.  The thread pool's concurrent.futures, which loads logging,
-    # is imported only when an ensemble runs on more than one thread.  The
-    # star import loads every module behind the lazy namespace.
+    # about 1.5 s, and concurrent.futures would load logging.  The star
+    # import loads every module behind the lazy namespace.
     out = fresh_python(
         "import sys, sgsim.cli; from sgsim import *; "
         "print(sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')"

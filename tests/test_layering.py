@@ -3,6 +3,7 @@ namespace reach the grid oracle, and a CLI run imports only the modules its
 experiment calls."""
 
 import ast
+import importlib.util
 import pathlib
 
 import pytest
@@ -108,3 +109,23 @@ def test_submodules_import_through_the_namespace(fresh_python):
 def test_unknown_name_raises_attribute_error():
     with pytest.raises(AttributeError, match="nonexistent"):
         sgsim.nonexistent
+
+
+def test_benchmark_tracer_names_resolve():
+    # perfbench's traced runs wrap sgsim functions by their module attribute
+    # names, so deleting one fails every traced op.  Install the tracer
+    # (perfbench/spans.py is loaded, not changed) and take it out again.
+    path = pathlib.Path(__file__).parents[1] / "perfbench" / "spans.py"
+    spec = importlib.util.spec_from_file_location("perfbench_spans", path)
+    spans = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(spans)
+    from sgsim import classical, meanfield
+
+    owners = (classical, meanfield, classical.Histogram)
+    before = [dict(vars(owner)) for owner in owners]
+    tracer = spans.Tracer()
+    try:
+        tracer.install_sgsim()
+    finally:
+        tracer.uninstall()
+    assert [dict(vars(owner)) for owner in owners] == before

@@ -21,6 +21,7 @@ from sgsim import (
     spin_moment_average,
 )
 from sgsim.core import DEFAULT_UNITS
+from sgsim.meanfield import meanfield_ensemble_mass
 from test_classical import _rk4_oracle
 
 
@@ -208,3 +209,104 @@ def test_ensemble_density_erf_scalar_inputs():
         assert isinstance(value, np.float64)
         assert value == pytest.approx(ref, rel=1e-15, abs=0.0)
     assert meanfield_ensemble_density(np.array([0.5]), span, sd).dtype == np.float64
+
+
+def _mp_ensemble_density(span, sd):
+    """meanfield_ensemble_density in mpmath, from the upper tails at |z| so
+    that it keeps its relative precision in both tails; the bare Gaussian at
+    span 0."""
+    def density(z):
+        a = abs(z)
+        if span == 0:
+            return mpmath.npdf(a, 0, sd)
+        return (mpmath.ncdf((span - a) / sd) - mpmath.ncdf((-span - a) / sd)) / (2 * span)
+    return density
+
+
+def _mp_mass(density, lo, hi, breaks):
+    """mpmath quadrature of density from lo to hi, split at the breaks inside
+    and taken relative to its maximum there (mpmath's tolerance is absolute)."""
+    points = [mpmath.mpf(lo)] + [mpmath.mpf(b) for b in breaks if lo < b < hi] + [mpmath.mpf(hi)]
+    top = max(density(p) for p in points)
+    return float(top * mpmath.quad(lambda z: density(z) / top, points))
+
+
+@pytest.mark.parametrize("span,sd", [(10.0, 1.0), (0.3, 2.0), (0.0, 1.3), (1e-9, 1.0)])
+def test_ensemble_mass_matches_mpmath_quadrature(span, sd):
+    # bins inside the span, across it, and out to 38 sds beyond it, where
+    # the mass is 1e-300.  x sds beyond the span, G(-x) = phi(x) - x*Phi(-x)
+    # cancels to about phi(x)/x^2, and phi(x) carries the rounding of x^2/2
+    # in its exponent, so the relative error grows as x^4; the difference
+    # G(-b) - G(-c), c - b = 2*span/sd, cancels by a further factor of about
+    # 1 + sd/span.  A bin that reaches into the span is a difference of
+    # masses of order 1, which keeps their absolute precision.  Measured: at
+    # most 2.2 ulp * (1 + x^2)^2 * (1 + sd/span) relative (1.1e-10 at 38
+    # sds, 1.9e-12 at 12) and 2.3 ulp absolute.
+    beyond = np.array([0.25, 0.7, 3.0, 8.5, 9.0, 12.0, 20.0, 21.0, 30.0, 38.0])
+    inside = span * np.array([0.2, 0.55, 0.9]) if span > 0.0 else []
+    half = np.concatenate((inside, span + beyond * sd))
+    edges = np.concatenate((-half[::-1], [0.3 * half[0]], half))
+    masses, outside = meanfield_ensemble_mass(edges, span, sd)
+    with mpmath.workdps(30):
+        density = _mp_ensemble_density(mpmath.mpf(span), mpmath.mpf(sd))
+        want = np.array([_mp_mass(density, lo, hi, (-span, 0.0, span))
+                         for lo, hi in zip(edges[:-1], edges[1:])])
+    lo, hi = edges[:-1], edges[1:]
+    x = np.maximum(np.maximum(lo - span, -hi - span), 0.0) / sd
+    cancel = 1.0 + sd / span if span > 1e-8 * sd else 1.0  # not in the bare-Gaussian limit
+    bound = 4 * np.finfo(float).eps * ((1 + x * x) ** 2 * cancel * want + (x == 0.0))
+    assert np.all(np.abs(masses - want) <= bound)
+    assert 0.0 <= outside < 1e-300
+
+
+@pytest.mark.parametrize("span,sd", [(10.0, 1.0), (0.3, 2.0), (0.0, 1.3)])
+def test_ensemble_outside_mass_matches_mpmath(span, sd):
+    # the default edges, span + 5 sd out, and edges that leave out a tail
+    for edges in ([-(span + 5 * sd), 0.0, span + 5 * sd], [-(span + 2 * sd), span + 9 * sd]):
+        _, outside = meanfield_ensemble_mass(np.array(edges), span, sd)
+        with mpmath.workdps(30):
+            density = _mp_ensemble_density(mpmath.mpf(span), mpmath.mpf(sd))
+            want = (_mp_mass(density, -np.inf, edges[0], ())
+                    + _mp_mass(density, edges[-1], np.inf, ()))
+        assert outside == pytest.approx(want, rel=1e-13, abs=0.0)
+
+
+def test_ensemble_mass_far_out_does_not_overflow():
+    # x*x overflows from 1.3e154 sds; at apparatus.grad_Bz = 1e160 and
+    # packet.sigma = 30, `sgsim meanfield` puts its edges 1e159 sds from the
+    # far end of the span
+    with np.errstate(over="raise", invalid="raise"):
+        masses, outside = meanfield_ensemble_mass(np.array([-1e200, 0.0, 1e200]), 3.0, 1.0)
+    assert np.array_equal(masses, [0.5, 0.5]) and outside == 0.0
+
+
+@settings(max_examples=50, deadline=None)
+@given(
+    span=st.floats(0.0, 1e3), sd=st.floats(1e-2, 1e2),
+    reach=st.floats(0.0, 12.0), bins=st.integers(1, 100), with_zero=st.booleans(),
+)
+def test_ensemble_mass_is_a_mirrored_distribution(span, sd, reach, bins, with_zero):
+    # mirrored edges give mirrored masses; with the outside mass they sum to 1
+    half = np.linspace(0.0, span + reach * sd + sd, bins + 1)[1:]
+    edges = np.concatenate((-half[::-1], [0.0] if with_zero else [], half))
+    masses, outside = meanfield_ensemble_mass(edges, span, sd)
+    assert np.all(masses >= 0.0) and outside >= 0.0
+    assert np.array_equal(masses, masses[::-1])
+    assert math.fsum(masses) + outside == pytest.approx(1.0, rel=0, abs=1e-13)
+
+
+@pytest.mark.parametrize("n", [10**3, 10**5, 10**7])
+def test_ensemble_chi_square_against_quadrature(default_apparatus, default_packet, n):
+    t, bins = 3.0, 40
+    hist = meanfield_ensemble(n, 2024, default_packet, default_apparatus, t, bins)
+    timing = derive_timing(default_apparatus, default_packet)
+    span = timing.v_z * (t - timing.t_bar)
+    sd = default_packet.sigma * abs(dispersion_factor(t - default_packet.t_prime,
+                                                      default_packet.sigma)) / math.sqrt(2.0)
+    expected = n * np.array([
+        quad(lambda z: meanfield_ensemble_density(z, span, sd), lo, hi, epsabs=0.0)[0]
+        for lo, hi in zip(hist.edges[:-1], hist.edges[1:])
+    ])
+    keep = expected >= 10.0
+    stat = float(np.sum((hist.counts[keep] - expected[keep]) ** 2 / expected[keep]))
+    assert stat < chi2.ppf(0.999, int(keep.sum()) - 1)
