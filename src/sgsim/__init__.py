@@ -20,7 +20,7 @@ _EXPORTS = {
         "Apparatus", "Branch", "DEFAULT_UNITS", "GaussianPacket", "Timing", "UnitSystem",
         "derive_timing", "detection_time", "kick_velocity",
     ),
-    "classical": ("Histogram", "classical_ensemble", "classical_trajectory", "deflection"),
+    "classical": ("Histogram", "classical_ensemble", "classical_trajectory"),
     "analytic": ("Grid1D", "SpinorField", "dispersion_factor", "evolve_packet", "suggest_grid"),
     "density": ("coherence_norm", "density_sweep"),
     "meanfield": (
@@ -37,8 +37,8 @@ _EXPORTS = {
         "recombine", "sandwich",
     ),
     "errors": (
-        "ConfigError", "DomainError", "ExtentError", "GeometryError",
-        "InvalidParameterError", "NoSplitError", "SgSimError",
+        "ConfigError", "DomainError", "ExtentError", "InvalidParameterError",
+        "NoSplitError", "SgSimError",
     ),
 }
 _HOME = {name: module for module, names in _EXPORTS.items() for name in names}

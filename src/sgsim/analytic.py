@@ -88,7 +88,7 @@ class SpinorField:
     unit-normalized, which makes marginals exact without quadrature.
     ``kicks`` are the kick integrals (p, q, S) at t of any field schedule
     and ``y_source`` the y the packet left from.  The field is a lazy
-    evaluator: call the factor methods at arbitrary points or sample a grid.
+    evaluator: call the factor methods at arbitrary points.
     """
 
     packet: GaussianPacket
@@ -180,10 +180,6 @@ class SpinorField:
             mismatch = math.inf
         return cmath.exp(-d * d / (4.0 * w * w) - mismatch / 4.0 + 1j * phase)
 
-    def z_marginal_amplitude(self, branch: Branch, z):
-        """Unit-norm z factor of the branch wave function (spinor weight excluded)."""
-        return self.z_factor(branch.deflection_sign, z)
-
     def branch_density(self, s: float, z):
         """|z_factor(s, z)|^2 in real arithmetic: the Gaussian
         exp(-(z - s*q)^2/w^2)/(sqrt(pi)*w) of the width w, since
@@ -221,21 +217,6 @@ class SpinorField:
         minus *= abs(self.packet.chi_minus) ** 2
         density += minus
         return density
-
-    def sample_grid(self, x, y, z):
-        """Sample both components on the outer product of coordinate arrays.
-
-        Returns (phi_plus, phi_minus) with shape (len(x), len(y), len(z)),
-        spinor weights included.
-        """
-        gx = self.x_factor(np.asarray(x))[:, None, None]
-        gy = self.y_factor(np.asarray(y))[None, :, None]
-        hp = self.z_marginal_amplitude(Branch.PLUS, np.asarray(z))[None, None, :]
-        hm = self.z_marginal_amplitude(Branch.MINUS, np.asarray(z))[None, None, :]
-        return (
-            self.packet.chi_plus * gx * gy * hp,
-            self.packet.chi_minus * gx * gy * hm,
-        )
 
 
 def evolve_packet(

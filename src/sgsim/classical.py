@@ -147,19 +147,6 @@ def classical_trajectory(
     return ClassicalState(z=scale * q, p_z=scale * p, t=t)
 
 
-def deflection(
-    beta: float,
-    apparatus: Apparatus,
-    packet: GaussianPacket,
-    units: UnitSystem = DEFAULT_UNITS,
-) -> float:
-    """Detector-plane deflection z_d = -z_max * cos(beta) for polar angle beta."""
-    if not math.isfinite(beta) or not (0.0 <= beta <= math.pi):
-        raise InvalidParameterError(f"beta must lie in [0, pi], got {beta}")
-    timing = derive_timing(apparatus, packet, units)
-    return -timing.z_max * math.cos(beta)
-
-
 # Not called by sgsim: the benchmark's tracer wraps it by name (ROADMAP open item 1).
 def chunked_samples(n: int, seed: int, sampler) -> np.ndarray:
     """Draw n samples deterministically from fixed-size sub-seeded chunks;
@@ -199,20 +186,17 @@ def classical_ensemble(
     seed: int,
     apparatus: Apparatus,
     packet: GaussianPacket,
-    bins: int | np.ndarray = 40,
+    bins: int = 40,
     units: UnitSystem = DEFAULT_UNITS,
 ) -> Histogram:
-    """Histogram of z_d over n isotropically oriented spins: one multinomial
-    draw over ``classical_ensemble_mass``.
+    """Histogram of z_d over n isotropically oriented spins in ``bins``
+    equal bins over [-z_max, z_max]: one multinomial draw over
+    ``classical_ensemble_mass``.  Deterministic for a fixed seed.
 
-    Deterministic for a fixed seed.  ``bins`` is either a bin count over
-    [-z_max, z_max] or an explicit edge array; draws outside the edges are
+    For other edges, call ``Histogram.draw(n, seed, edges,
+    *classical_ensemble_mass(edges, z_max))``; draws outside the edges are
     not binned, so n_total may be below n.
     """
     timing = derive_timing(apparatus, packet, units)
-    edges = (
-        default_edges(timing.z_max, int(bins))
-        if np.isscalar(bins)
-        else np.asarray(bins, dtype=float)
-    )
+    edges = default_edges(timing.z_max, bins)
     return Histogram.draw(n, seed, edges, *classical_ensemble_mass(edges, timing.z_max))

@@ -342,11 +342,11 @@ def _run_evolve(cfg: RunConfig) -> _Result:
     z = grid.points
     marginal = fld.z_marginal_density(z)
     grid.check_resolved(marginal)
-    phi_p, phi_m = fld.sample_grid([0.0], [fld.y_center], z)
-    columns = [
-        np.zeros_like(z), np.full_like(z, fld.y_center), z,
-        phi_p[0, 0].real, phi_p[0, 0].imag, phi_m[0, 0].real, phi_m[0, 0].imag,
-    ]
+    gx, gy = fld.x_factor([0.0]), fld.y_factor([fld.y_center])  # arrays: scalars round the tails
+    chi = {Branch.PLUS: cfg.packet.chi_plus, Branch.MINUS: cfg.packet.chi_minus}
+    phi_p, phi_m = (chi[b] * gx * gy * fld.z_factor(b.deflection_sign, z) for b in Branch)
+    columns = [np.zeros_like(z), np.full_like(z, fld.y_center), z,
+               phi_p.real, phi_p.imag, phi_m.real, phi_m.imag]
     report = experiments.detect_bimodality(marginal, z)
     return f"evolve: t={_g(t)} peaks={report.peak_count}", {
         "z_marginal.csv": _csv_text(["z", "density"], [z, marginal]),

@@ -1,6 +1,8 @@
 """Unit conventions, apparatus geometry, initial packet, derived kinematics,
-the field schedule of a flight through field windows, and its kick
-integrals, which say where every branch is.
+the field schedule of a flight through any field layout (``flight_schedule``,
+the one way from an apparatus or layer stack to a schedule and the one place
+that refuses a layer upstream of the source), and its kick integrals, which
+say where every branch is.
 
 Everything downstream works in the dimensionless defaults hbar = m = mu_b = 1;
 physical values can be supplied through :class:`UnitSystem`.
@@ -145,10 +147,6 @@ class Timing:
     v_z: float
     z_max: float
 
-    def __post_init__(self) -> None:
-        if not self.t_b < self.t_c:
-            raise InvalidParameterError(f"t_b must precede t_c, got {self}")
-
 
 def derive_timing(
     apparatus: Apparatus,
@@ -157,18 +155,14 @@ def derive_timing(
 ) -> Timing:
     """Straight-line flight times and the field-induced kick quantities.
 
-    v = hbar k_y / m; entry/exit times follow from uniform motion out of the
-    source; v_z is the impulsive kick speed and z_max = |v_z| * (y_d - y_bar) / v
-    the maximal classical deflection at the detector.
+    v = hbar k_y / m; entry/exit times are the apparatus's flight window, as
+    ``flight_schedule`` takes it; v_z is the impulsive kick speed and
+    z_max = |v_z| * (y_d - y_bar) / v the maximal classical deflection at
+    the detector.
     """
     v = units.hbar * packet.k_y / units.mass
     y0 = packet.source_y(apparatus)
-    if apparatus.y_b < y0:
-        raise InvalidParameterError(
-            f"packet source y = {y0} must not lie past the field entry y_b"
-        )
-    t_b = packet.t_prime + (apparatus.y_b - y0) / v
-    t_c = packet.t_prime + (apparatus.y_c - y0) / v
+    t_b, t_c = _flight_window(packet, y0, apparatus.y_b, apparatus.y_c, units)
     v_z = kick_velocity(apparatus, packet, units)
     z_max = abs(v_z) * ((apparatus.y_d - apparatus.y_bar) / v)
     return Timing(t_b=t_b, t_c=t_c, t_bar=0.5 * (t_b + t_c), v=v, v_z=v_z, z_max=z_max)
@@ -219,18 +213,44 @@ def field_schedule(
     return schedule
 
 
+def _flight_window(packet: GaussianPacket, y_source: float, y_start: float, y_end: float,
+                   units: UnitSystem) -> tuple[float, float]:
+    """Times t' + (y - y_source)/v, v = hbar*k_y/m, at which the packet center
+    reaches y_start and y_end; a field upstream of the source, or one that
+    the flight crosses in no time at float resolution, is refused."""
+    if y_start < y_source:
+        raise InvalidParameterError(f"field at y = {y_start} is upstream of source y = {y_source}")
+    v = units.hbar * packet.k_y / units.mass
+    t_on, t_off = (packet.t_prime + (y - y_source) / v for y in (y_start, y_end))
+    if not t_on < t_off:
+        raise InvalidParameterError(f"the flight crosses [{y_start}, {y_end}) in no time")
+    return t_on, t_off
+
+
+def flight_schedule(
+    packet: GaussianPacket,
+    y_source: float,
+    layers: list[tuple[float, float, float]],
+    t_final: float,
+    units: UnitSystem = DEFAULT_UNITS,
+) -> list[tuple[float, float, float]]:
+    """Field schedule of the packet's flight from emission at y_source to
+    t_final through the non-overlapping (y_start, y_end, grad_Bz) ``layers``,
+    each on while the packet center is inside it."""
+    windows = [(*_flight_window(packet, y_source, y0, y1, units), g) for y0, y1, g in layers]
+    return field_schedule(packet.t_prime, t_final, windows)
+
+
 def apparatus_schedule(
     apparatus: Apparatus,
     packet: GaussianPacket,
     t_final: float,
     units: UnitSystem = DEFAULT_UNITS,
 ) -> list[tuple[float, float, float]]:
-    """Field schedule of the packet's flight from emission to t_final: the
-    apparatus's one window, on from t_b to t_c."""
-    timing = derive_timing(apparatus, packet, units)
-    return field_schedule(
-        packet.t_prime, t_final, [(timing.t_b, timing.t_c, apparatus.grad_Bz)]
-    )
+    """``flight_schedule`` through the apparatus's one field window, on
+    from y_b to y_c."""
+    window = (apparatus.y_b, apparatus.y_c, apparatus.grad_Bz)
+    return flight_schedule(packet, packet.source_y(apparatus), [window], t_final, units)
 
 
 def kick_integrals(

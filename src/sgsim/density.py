@@ -50,8 +50,8 @@ def density_sweep(field: SpinorField, z_values: np.ndarray, variant: Variant) ->
     rho[:, 0, 0] = field.branch_density(Branch.PLUS.deflection_sign, z) * abs(cp) ** 2
     rho[:, 1, 1] = field.branch_density(Branch.MINUS.deflection_sign, z) * abs(cm) ** 2
     if variant == "collapse_free":
-        hp = field.z_marginal_amplitude(Branch.PLUS, z)
-        hm = field.z_marginal_amplitude(Branch.MINUS, z)
+        hp = field.z_factor(Branch.PLUS.deflection_sign, z)
+        hm = field.z_factor(Branch.MINUS.deflection_sign, z)
         rho[:, 0, 1] = np.conj(hp) * hm * np.conj(cp) * cm
         rho[:, 1, 0] = np.conj(rho[:, 0, 1])
     return rho

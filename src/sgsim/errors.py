@@ -1,4 +1,5 @@
-"""Exception hierarchy shared by all simulation modules."""
+"""Exception hierarchy shared by all simulation modules.  A bad geometry,
+an ``Apparatus`` or a field layout alike, is an ``InvalidParameterError``."""
 
 
 class SgSimError(Exception):
@@ -20,10 +21,6 @@ class ExtentError(SgSimError, ValueError):
 
 class NoSplitError(SgSimError, ValueError):
     """The beam does not split, so a split-dependent quantity is undefined."""
-
-
-class GeometryError(SgSimError, ValueError):
-    """Apparatus stages are arranged inconsistently (e.g. overlapping in y)."""
 
 
 class ConfigError(SgSimError, ValueError):

@@ -8,10 +8,13 @@ factors of the two branches (kicked by -+v_z while the beams stay separated,
 unkicked after a perfect reversal), with an injectable relative phase error
 modeling imperfect phase maintenance.
 The multilayer sandwich builds ``evolve``'s closed-form ``SpinorField`` on
-the field schedule of its layers (:mod:`sgsim.analytic`) and samples its z
-density at the points of a grid sized and edge-checked there too; its
+the field schedule of its layers (:mod:`sgsim.analytic`), which
+``core.flight_schedule`` builds as it builds an apparatus's, and samples its
+z density at the points of a grid sized and edge-checked there too; its
 histogram is the exact mass of the closed form in each bin
 (``SpinorField.branch_mass``), not the grid's sampled probability mass.
+Overlapping layers, a layer upstream of the source and a recombination stage
+2 placed before stage 1 ends are ``InvalidParameterError``s.
 The "significantly greater" split condition is operationalized by the peak
 detector; the dimensionless kick strength kappa = mu_b*B'*dt*sigma/hbar is
 reported alongside so users can calibrate.
@@ -36,18 +39,14 @@ from .core import (
     apparatus_schedule,
     derive_timing,
     detection_time,
-    field_schedule,
+    flight_schedule,
     kick_integrals,
     kick_velocity,
 )
-from .errors import (
-    DomainError,
-    GeometryError,
-    InvalidParameterError,
-    NoSplitError,
-)
+from .errors import DomainError, InvalidParameterError, NoSplitError
 
 _NOMINAL_COUNTS = 1_000_000  # counts per unit of the closed form's exact bin mass
+_PROMINENCE_FRAC = 0.05  # least prominence of a counted peak, as a share of the highest
 
 
 # ---------------------------------------------------------------------------
@@ -139,16 +138,12 @@ class BimodalityReport:
     separation_score: float
 
 
-def detect_bimodality(
-    values: np.ndarray,
-    coordinates: np.ndarray | None = None,
-    prominence_frac: float = 0.05,
-) -> BimodalityReport:
-    """Count resolved peaks in a sampled density or histogram.
+def detect_bimodality(values: np.ndarray, coordinates: np.ndarray) -> BimodalityReport:
+    """Count resolved peaks in a density or histogram sampled at ``coordinates``.
 
     The profile is smoothed with a 3-bin moving average, then local maxima
-    with prominence above ``prominence_frac`` of the global maximum are
-    counted.  The separation score is the distance between the two most
+    with prominence of at least 5% of the global maximum (``_PROMINENCE_FRAC``)
+    are counted.  The separation score is the distance between the two most
     prominent peaks divided by the full width at half maximum of the taller
     one (0 when fewer than two peaks).
     """
@@ -159,19 +154,16 @@ def detect_bimodality(
         )
     if not np.isfinite(values).all():
         raise InvalidParameterError("profile values must be finite")
-    if coordinates is None:
-        coordinates = np.arange(values.size, dtype=float)
-    else:
-        coordinates = np.asarray(coordinates, dtype=float)
-        if coordinates.shape != values.shape:
-            raise InvalidParameterError("coordinates must match values in shape")
+    coordinates = np.asarray(coordinates, dtype=float)
+    if coordinates.shape != values.shape:
+        raise InvalidParameterError("coordinates must match values in shape")
     smooth = np.convolve(values, np.ones(3) / 3.0, mode="same")
     peak_level = float(smooth.max())
     if peak_level <= 0:
         raise InvalidParameterError("profile has no positive mass")
     maxima = _local_maxima(smooth)
     prominences = _prominences(smooth, maxima)
-    keep = prominence_frac * peak_level <= prominences
+    keep = _PROMINENCE_FRAC * peak_level <= prominences
     idx, prominences = maxima[keep], prominences[keep]
     positions = tuple(float(coordinates[i]) for i in idx)
     if idx.size < 2:
@@ -301,7 +293,7 @@ def recombine(
         raise NoSplitError("stage 1 has zero gradient; nothing to recombine")
     if stage2 is not None:
         if stage2.y_b < stage1.y_c:
-            raise GeometryError("stage 2 must start after stage 1 ends")
+            raise InvalidParameterError("stage 2 must start after stage 1 ends")
         v_z2 = kick_velocity(stage2, packet, units)
         if not math.isclose(v_z2, -v_z1, rel_tol=1e-9):
             raise InvalidParameterError(
@@ -361,9 +353,7 @@ class LayerStack:
         object.__setattr__(self, "layers", layers)
         for a, b in zip(layers[:-1], layers[1:]):
             if b.y_start < a.y_end:
-                raise GeometryError(
-                    f"layers overlap or are out of order: {a} then {b}"
-                )
+                raise InvalidParameterError(f"layers overlap or are out of order: {a} then {b}")
 
 
 @dataclass(frozen=True)
@@ -407,18 +397,11 @@ def sandwich(
     counts of a nominal million.  The beam starts at the y of
     ``packet.source``, or at y = 0 when the packet sets no source."""
     y_source = packet.source[1] if packet.source is not None else 0.0
-    v = units.hbar * packet.k_y / units.mass
-    windows = [
-        (packet.t_prime + (layer.y_start - y_source) / v,
-         packet.t_prime + (layer.y_end - y_source) / v,
-         layer.grad_Bz)
-        for layer in layers.layers
-    ]
-    schedule = field_schedule(packet.t_prime, t_final, windows)
-    for layer in layers.layers:
-        if layer.y_start < y_source:
-            raise GeometryError("layers must lie downstream of the source")
-
+    schedule = flight_schedule(
+        packet, y_source,
+        [(layer.y_start, layer.y_end, layer.grad_Bz) for layer in layers.layers],
+        t_final, units,
+    )
     if grid is None:
         grid = schedule_grid(packet, schedule, units=units)
 

@@ -105,26 +105,23 @@ def meanfield_ensemble(
     packet: GaussianPacket,
     apparatus: Apparatus,
     t: float,
-    bins: int | np.ndarray = 60,
+    bins: int = 60,
     units: UnitSystem = DEFAULT_UNITS,
 ) -> Histogram:
-    """Histogram of detector positions over n isotropic spin orientations:
-    one multinomial draw over ``meanfield_ensemble_mass``.
+    """Histogram of detector positions over n isotropic spin orientations in
+    ``bins`` equal bins over [-(span + 5 sd), span + 5 sd]: one multinomial
+    draw over ``meanfield_ensemble_mass``.
 
     A spin of polar angle beta lands in the mean-field Gaussian centered at
     -cos(beta) times the kick, with cos(beta) uniform on [-1, 1], so the
     ensemble density is ``meanfield_ensemble_density``.  Deterministic for a
-    fixed seed.  ``bins`` is either a bin count over [-(span + 5 sd),
-    span + 5 sd] or an explicit edge array; draws outside the edges are not
-    binned, so n_total may be below n.
+    fixed seed.  Draws outside the edges are not binned, so n_total may be
+    below n.
     """
     fld = evolve_packet(packet, apparatus, t, units)
     span = abs(fld.kicked_center(1.0))
     sd = fld.width / math.sqrt(2.0)
-    if np.isscalar(bins):
-        edges = np.linspace(-(span + 5.0 * sd), span + 5.0 * sd, int(bins) + 1)
-    else:
-        edges = np.asarray(bins, dtype=float)
+    edges = np.linspace(-(span + 5.0 * sd), span + 5.0 * sd, bins + 1)
     return Histogram.draw(n, seed, edges, *meanfield_ensemble_mass(edges, span, sd))
 
 

@@ -216,8 +216,8 @@ def compare_analytic_oracle(
     state = propagate_packet(packet, apparatus, grid, t_final, units)
     field = evolve_packet(packet, apparatus, t_final, units)
     z = grid.points
-    target_p = packet.chi_plus * field.z_marginal_amplitude(Branch.PLUS, z)
-    target_m = packet.chi_minus * field.z_marginal_amplitude(Branch.MINUS, z)
+    target_p = packet.chi_plus * field.z_factor(Branch.PLUS.deflection_sign, z)
+    target_m = packet.chi_minus * field.z_factor(Branch.MINUS.deflection_sign, z)
     err_p, overlap_p = _aligned_l2_error(state.psi_plus, target_p, grid.dz)
     err_m, overlap_m = _aligned_l2_error(state.psi_minus, target_m, grid.dz)
     phase_diff = 0.0

@@ -173,7 +173,7 @@ def test_kernel_propagates_packet_to_closed_form(
         z_eval = np.linspace(field.branch_center(branch) - 3, field.branch_center(branch) + 3, 7)
         for z in z_eval:
             integ = omitted * np.trapezoid(sg_kernel(params, z, zp) * psi0, zp)
-            expected = complex(field.z_marginal_amplitude(branch, z))
+            expected = complex(field.z_factor(branch.deflection_sign, z))
             assert abs(integ - expected) < 1e-4
 
 
@@ -193,7 +193,7 @@ def test_fitted_width_matches_dispersion(default_apparatus, default_packet):
     field = evolve_packet(default_packet, default_apparatus, t)
     center = field.branch_center(Branch.PLUS)
     z = np.linspace(center - 8 * field.width, center + 8 * field.width, 4001)
-    rho = np.abs(field.z_marginal_amplitude(Branch.PLUS, z)) ** 2
+    rho = np.abs(field.z_factor(Branch.PLUS.deflection_sign, z)) ** 2
 
     def gauss(zv, amp, mu, w):
         return amp * np.exp(-((zv - mu) ** 2) / (w * w))

@@ -14,7 +14,6 @@ from sgsim import (
     InvalidParameterError,
     classical_ensemble,
     classical_trajectory,
-    deflection,
     derive_timing,
     meanfield_ensemble,
 )
@@ -86,15 +85,6 @@ def test_trajectory_domain_errors(default_apparatus, default_packet):
         classical_trajectory(math.nan, default_apparatus, default_packet, 1.0)
 
 
-def test_deflection_endpoints(default_apparatus, default_packet):
-    timing = derive_timing(default_apparatus, default_packet)
-    assert deflection(0.0, default_apparatus, default_packet) == pytest.approx(-timing.z_max)
-    assert deflection(math.pi, default_apparatus, default_packet) == pytest.approx(timing.z_max)
-    assert deflection(math.pi / 2, default_apparatus, default_packet) == pytest.approx(0.0, abs=1e-13)
-    with pytest.raises(InvalidParameterError):
-        deflection(-0.1, default_apparatus, default_packet)
-
-
 def test_ensemble_flat_interior(default_apparatus, default_packet):
     n, bins = 200_000, 20
     hist = classical_ensemble(n, 7, default_apparatus, default_packet, bins)
@@ -107,7 +97,7 @@ def test_ensemble_flat_interior(default_apparatus, default_packet):
 def test_ensemble_support(default_apparatus, default_packet):
     timing = derive_timing(default_apparatus, default_packet)
     wide = np.linspace(-2 * timing.z_max, 2 * timing.z_max, 81)
-    hist = classical_ensemble(50_000, 3, default_apparatus, default_packet, wide)
+    hist = Histogram.draw(50_000, 3, wide, *classical_ensemble_mass(wide, timing.z_max))
     centers = 0.5 * (hist.edges[:-1] + hist.edges[1:])
     occupied = centers[hist.counts > 0]
     assert np.all(np.abs(occupied) <= timing.z_max + hist.widths[0])
@@ -154,9 +144,12 @@ def test_draw_gives_no_draw_to_a_massless_category(default_apparatus, default_pa
     # even at n = 10**18 (with the outside category last, 33 and 97 bins
     # lost 347 and 1666 draws to it)
     n = 10**18
-    z_max = derive_timing(default_apparatus, default_packet).z_max
-    edges = z_max * np.array([-3.0, -1.0, -0.3, 0.5, 1.0, 3.0]) if bins == "wide" else bins
-    hist = classical_ensemble(n, 5, default_apparatus, default_packet, edges)
+    if bins == "wide":
+        z_max = derive_timing(default_apparatus, default_packet).z_max
+        edges = z_max * np.array([-3.0, -1.0, -0.3, 0.5, 1.0, 3.0])
+        hist = Histogram.draw(n, 5, edges, *classical_ensemble_mass(edges, z_max))
+    else:
+        hist = classical_ensemble(n, 5, default_apparatus, default_packet, bins)
     assert hist.n_total == n
     if bins == "wide":
         assert hist.counts[0] == hist.counts[-1] == 0

@@ -827,6 +827,47 @@ def test_main_runs_any_config_to_a_whole_result(experiment, overrides, spin):
             assert not out.exists() or os.listdir(out) == [], text
 
 
+# Extreme ensemble configs that exit 0 with finite artifacts; the property
+# above accepts exit 4 for any config, so a change that turns one of these
+# into a DomainError fails only here
+_MUST_RUN = [
+    (experiment, {"apparatus.grad_Bz": grad, key: value})
+    for experiment in ("classical", "meanfield")
+    for grad in ("1e8", "1e160", "-1e300")
+    for key, value in (("packet.sigma", "1e-8"), ("packet.sigma", "30"),
+                       ("packet.sigma", "1e300"), ("packet.k_y", "1e-3"),
+                       ("packet.k_y", "1e300"), ("run.t", "0.55"), ("run.t", "1e8"))
+]
+
+
+@pytest.mark.parametrize(
+    "experiment,overrides", _MUST_RUN,
+    ids=[f"{e}-" + "-".join(f"{k}={v}" for k, v in o.items()) for e, o in _MUST_RUN],
+)
+def test_extreme_ensemble_configs_run(experiment, overrides, tmp_path, capsys):
+    cfg_path = tmp_path / "run.cfg"
+    cfg_path.write_text(_SMALL + "".join(f"{k} = {v}\n" for k, v in overrides.items()))
+    out = tmp_path / "out"
+    assert main([experiment, "--config", str(cfg_path), "--out", str(out)]) == 0
+    assert capsys.readouterr().err == ""
+    for path in out.iterdir():
+        assert np.isfinite(_artifact_values(path)).all(), path.name
+
+
+@pytest.mark.parametrize("argv", [
+    ["sandwich", "--layers", "5:6:1;5.5:7:1"],  # overlapping layers
+    ["sandwich", "--layers=-1:6:100"],  # a layer upstream of the source at y = 0
+    ["recombine", "--gap", "-0.5"],  # stage 2 starts before stage 1 ends
+])
+def test_layout_faults_exit_validation(argv, tmp_path, capsys):
+    # a bad field layout is a validation error, as a bad apparatus is
+    out = tmp_path / "layout"
+    assert main(argv + ["--out", str(out)]) == 3
+    (line,) = capsys.readouterr().err.splitlines()
+    assert json.loads(line)["error"] == "InvalidParameterError"
+    assert not out.exists() or os.listdir(out) == []
+
+
 @pytest.mark.parametrize("argv", [["evolve", "--gr", "8192"], ["classical", "--se", "7"]])
 def test_abbreviated_flag_rejected(argv, tmp_path, capsys):
     assert main(argv + ["--out", str(tmp_path / "a")]) == 2

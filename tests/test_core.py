@@ -13,6 +13,7 @@ from sgsim import (
     detection_time,
     kick_velocity,
 )
+from sgsim.core import apparatus_schedule, flight_schedule
 
 
 def test_branch_signs():
@@ -91,6 +92,27 @@ def test_source_past_field_entry_rejected(default_apparatus):
     pkt = GaussianPacket(source=(0.0, 5.5, 0.0))
     with pytest.raises(InvalidParameterError):
         derive_timing(default_apparatus, pkt)
+
+
+def test_flight_schedule_hand_example():
+    # at v = 10 from y = 2, layers on [7, 8) and [9, 10) are on from 0.5 to
+    # 0.6 and from 0.7 to 0.8 after t' = 0
+    schedule = flight_schedule(GaussianPacket(), 2.0, [(7.0, 8.0, 3.0), (9.0, 10.0, -1.0)], 1.0)
+    expected = [(0.0, 0.5, 0.0), (0.5, 0.6, 3.0), (0.6, 0.7, 0.0), (0.7, 0.8, -1.0),
+                (0.8, 1.0, 0.0)]
+    assert len(schedule) == len(expected)
+    for segment, want in zip(schedule, expected):
+        assert segment == pytest.approx(want, abs=1e-15)
+
+
+def test_field_crossed_in_no_time_rejected(default_apparatus):
+    # next to t' = 1e16 the 0.1 the packet spends in the field rounds away,
+    # which would drop the kick; the flight window refuses it
+    pkt = GaussianPacket(t_prime=1e16)
+    with pytest.raises(InvalidParameterError, match="no time"):
+        derive_timing(default_apparatus, pkt)
+    with pytest.raises(InvalidParameterError, match="no time"):
+        apparatus_schedule(default_apparatus, pkt, 2e16)
 
 
 @given(lam=st.floats(min_value=0.1, max_value=10.0))

@@ -143,8 +143,8 @@ def _coherence_by_quadrature(field):
     mid = 0.5 * (centers[0] + centers[1])
     z = np.linspace(mid - half_span, mid + half_span, 8193)
     integrand = np.abs(
-        field.z_marginal_amplitude(Branch.PLUS, z)
-        * field.z_marginal_amplitude(Branch.MINUS, z)
+        field.z_factor(Branch.PLUS.deflection_sign, z)
+        * field.z_factor(Branch.MINUS.deflection_sign, z)
     )
     weight = abs(field.packet.chi_plus) * abs(field.packet.chi_minus)
     return weight * float(np.trapezoid(integrand, z))

@@ -11,7 +11,6 @@ from sgsim import (
     DomainError,
     ExtentError,
     GaussianPacket,
-    GeometryError,
     Grid1D,
     GridState,
     InvalidParameterError,
@@ -66,14 +65,14 @@ def test_close_gaussians_merge():
 
 def test_bimodality_input_validation():
     with pytest.raises(InvalidParameterError):
-        detect_bimodality(np.ones(8))
+        detect_bimodality(np.ones(8), np.arange(8.0))
     with pytest.raises(InvalidParameterError):
-        detect_bimodality(np.zeros(32))
+        detect_bimodality(np.zeros(32), np.arange(32.0))
     with pytest.raises(InvalidParameterError):
         detect_bimodality(np.ones(32), np.ones(16))
     for bad in (math.nan, math.inf):
         with pytest.raises(InvalidParameterError, match="finite"):
-            detect_bimodality(np.r_[np.ones(31), bad])
+            detect_bimodality(np.r_[np.ones(31), bad], np.arange(32.0))
 
 
 # The numpy peak finder against scipy.signal, the reference it replaces.  The
@@ -355,7 +354,7 @@ def test_recombine_past_an_overflowing_mismatch_has_no_overlap():
 
 def test_recombine_geometry_errors(default_apparatus, default_packet):
     overlapping = Apparatus(0.0, 5.5, 6.5, 26.0, -100.0)
-    with pytest.raises(GeometryError):
+    with pytest.raises(InvalidParameterError, match="stage 2"):
         recombine(default_packet, default_apparatus, overlapping)
     same_sign = _reversal(default_apparatus)
     same_sign = Apparatus(
@@ -376,7 +375,7 @@ def test_recombine_geometry_errors(default_apparatus, default_packet):
 def test_layer_validation():
     with pytest.raises(InvalidParameterError):
         Layer(2.0, 1.0, 5.0)
-    with pytest.raises(GeometryError):
+    with pytest.raises(InvalidParameterError, match="overlap"):
         LayerStack((Layer(1.0, 3.0, 5.0), Layer(2.0, 4.0, 5.0)))
 
 
@@ -446,7 +445,7 @@ def test_wider_beams_split_at_weaker_fields():
 
 
 def test_sandwich_rejects_upstream_layers(default_packet):
-    with pytest.raises(GeometryError):
+    with pytest.raises(InvalidParameterError, match="upstream"):
         sandwich(default_packet, LayerStack((Layer(-1.0, 1.0, 10.0),)), 2.0)
     with pytest.raises(DomainError):
         sandwich(default_packet, LayerStack(()), 0.0)

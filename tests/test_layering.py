@@ -74,6 +74,41 @@ def test_every_public_name_resolves_lazily(fresh_python):
     assert out.strip() == "ok"
 
 
+def test_public_api_is_pinned():
+    # adding or removing a public name is a deliberate change to this list
+    assert sgsim.__all__ == [
+        "Apparatus", "BimodalityReport", "Branch", "CollapseReport", "ConfigError",
+        "DEFAULT_UNITS", "DomainError", "ExtentError", "GaussianPacket", "Grid1D",
+        "GridState", "Histogram", "InvalidParameterError", "Layer", "LayerStack",
+        "MeanFieldState", "NoSplitError", "OracleComparison", "RecombinationResult",
+        "SandwichResult", "SgSimError", "SpinorField", "Timing", "UnitSystem",
+        "backtrack_collapse", "classical_ensemble", "classical_trajectory",
+        "coherence_norm", "compare_analytic_oracle", "density_sweep", "derive_timing",
+        "detect_bimodality", "detection_time", "dispersion_factor", "evolve_packet",
+        "kick_velocity", "layer_kappa", "meanfield_ensemble", "meanfield_ensemble_density",
+        "meanfield_evolve", "propagate", "propagate_packet", "recombine", "sandwich",
+        "spin_moment_average", "suggest_grid",
+    ]
+
+
+def _called_names(tree: ast.Module) -> set[str]:
+    return {
+        node.func.id if isinstance(node.func, ast.Name) else node.func.attr
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Call) and isinstance(node.func, (ast.Name, ast.Attribute))
+    }
+
+
+def test_only_core_builds_field_schedules():
+    # every field layout reaches its schedule through core.flight_schedule,
+    # so no other module turns y positions into time windows of its own
+    callers = sorted(
+        path.name for path in _PACKAGE.glob("*.py")
+        if "field_schedule" in _called_names(ast.parse(path.read_text()))
+    )
+    assert callers == ["core.py"]
+
+
 def test_no_public_name_is_exported_twice():
     # a name listed under two submodules would resolve to the last of them
     names = [name for names in sgsim._EXPORTS.values() for name in names]

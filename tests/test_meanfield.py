@@ -69,7 +69,7 @@ def test_pure_spin_meanfield_is_entangled_branch(
     x = np.linspace(-3 * w, 3 * w, 7)[:, None, None]
     y = np.linspace(y0 - 3 * w, y0 + 3 * w, 7)[None, :, None]
     z = np.linspace(c - 6 * w, c + 6 * w, 401)[None, None, :]
-    expected = fld.x_factor(x) * fld.y_factor(y) * fld.z_marginal_amplitude(branch, z)
+    expected = fld.x_factor(x) * fld.y_factor(y) * fld.z_factor(branch.deflection_sign, z)
     assert np.array_equal(state(x, y, z), expected)
 
 
