@@ -17,11 +17,12 @@ __version__ = "0.1.0"
 # Each submodule and the public names it defines.
 _EXPORTS = {
     "core": (
-        "Apparatus", "Branch", "DEFAULT_UNITS", "GaussianPacket", "Timing", "UnitSystem",
-        "derive_timing", "detection_time", "kick_velocity",
+        "Apparatus", "Branch", "CollapseReport", "DEFAULT_UNITS", "GaussianPacket",
+        "RecombinationResult", "Timing", "UnitSystem", "backtrack_collapse", "derive_timing",
+        "detection_time", "dispersion_factor", "kick_velocity", "recombine",
     ),
     "classical": ("Histogram", "classical_ensemble", "classical_trajectory"),
-    "analytic": ("Grid1D", "SpinorField", "dispersion_factor", "evolve_packet", "suggest_grid"),
+    "analytic": ("Grid1D", "SpinorField", "evolve_packet", "suggest_grid"),
     "density": ("coherence_norm", "density_sweep"),
     "meanfield": (
         "MeanFieldState", "meanfield_ensemble", "meanfield_ensemble_density",
@@ -32,9 +33,8 @@ _EXPORTS = {
         "propagate_packet",
     ),
     "experiments": (
-        "BimodalityReport", "CollapseReport", "Layer", "LayerStack", "RecombinationResult",
-        "SandwichResult", "backtrack_collapse", "detect_bimodality", "layer_kappa",
-        "recombine", "sandwich",
+        "BimodalityReport", "Layer", "LayerStack", "SandwichResult", "detect_bimodality",
+        "layer_kappa", "sandwich",
     ),
     "errors": (
         "ConfigError", "DomainError", "ExtentError", "InvalidParameterError",

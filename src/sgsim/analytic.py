@@ -34,7 +34,6 @@ amplitudes without any phase alignment.
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass
 from functools import cached_property
@@ -48,9 +47,11 @@ from .core import (
     GaussianPacket,
     UnitSystem,
     apparatus_schedule,
+    branch_overlap,
+    dispersion_factor,
     kick_integrals,
 )
-from .errors import DomainError, ExtentError, InvalidParameterError
+from .errors import ExtentError, InvalidParameterError
 
 EDGE_TOL = 1e-10  # max tolerated relative density at a grid's edge
 
@@ -70,14 +71,6 @@ def _even_bin_mass(u: np.ndarray, outside: np.ndarray, inside: np.ndarray) -> np
         lo >= 0.0, outside[:-1] - outside[1:],
         np.where(hi <= 0.0, outside[1:] - outside[:-1], inside[:-1] + inside[1:]),
     )
-
-
-def dispersion_factor(tau: float, sigma: float, units: UnitSystem = DEFAULT_UNITS) -> complex:
-    """f(tau) = 1 + i*hbar*tau/(m*sigma^2); |f| is the width-growth factor."""
-    m_sigma2 = units.mass * sigma * sigma
-    if m_sigma2 == 0.0:
-        raise DomainError(f"m*sigma^2 underflows to 0 at sigma = {sigma}")
-    return 1.0 + 1j * units.hbar * tau / m_sigma2
 
 
 @dataclass(frozen=True)
@@ -158,27 +151,9 @@ class SpinorField:
         )
 
     def overlap(self, s1: float, s2: float) -> complex:
-        """<z_factor(s1)|z_factor(s2)> in closed form.
-
-        Shifting z by the mean center (s1 + s2)*q/2 leaves the overlap of
-        two free Gaussians d = (s2 - s1)*q apart with relative wavenumber
-        k = (s2 - s1)*p/hbar, which is real:
-        exp(-d^2/(4*w^2) - (k*w - Im(f)*d/w)^2/4) for the width w.  The
-        shift contributes the phase (s2^2 - s1^2)*(p*q/2 - S)/hbar.  Only
-        a non-finite phase is refused: an overflowing mismatch is no overlap.
-        """
-        p, q, action = self.kicks
-        hbar, w = self.units.hbar, self.width
-        phase = (s2 * s2 - s1 * s1) * (0.5 * p * q - action) / hbar
-        if not math.isfinite(phase):
-            raise DomainError(f"branch overlap phase overflows: {phase}")
-        ds = s2 - s1
-        d, k = ds * q, ds * p / hbar
-        try:
-            mismatch = (k * w - self.f.imag * d / w) ** 2
-        except OverflowError:  # a mismatch past the float range: no overlap
-            mismatch = math.inf
-        return cmath.exp(-d * d / (4.0 * w * w) - mismatch / 4.0 + 1j * phase)
+        """<z_factor(s1)|z_factor(s2)> in closed form: ``core.branch_overlap``
+        of this field's kick integrals and width."""
+        return branch_overlap(self.kicks, self.f, self.packet.sigma, s1, s2, self.units)
 
     def branch_density(self, s: float, z):
         """|z_factor(s, z)|^2 in real arithmetic: the Gaussian

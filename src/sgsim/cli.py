@@ -12,6 +12,11 @@ the whole artifacts written before it.
 Exit codes: 0 success, 2 parse or usage error or an unwritable artifact,
 3 validation error, 4 numeric/domain failure or out of memory.  Failures
 also emit a machine-readable JSON error record on stderr.
+
+numpy is imported only by the runners of array experiments, which run with
+its overflow and invalid-operation errors raised; the scalar experiments
+(``_SCALAR``), and every failure to parse or validate the config, run
+without it.
 """
 
 from __future__ import annotations
@@ -26,16 +31,16 @@ from dataclasses import dataclass, replace
 from operator import attrgetter
 from typing import Callable
 
-import numpy as np
-
 from .core import (
     Apparatus,
     Branch,
     GaussianPacket,
     UnitSystem,
     _require_finite,
+    backtrack_collapse,
     derive_timing,
     detection_time,
+    recombine,
 )
 from .errors import ConfigError, DomainError, InvalidParameterError, SgSimError
 
@@ -101,10 +106,9 @@ class RunConfig:
         _require_finite("layers", *(v for layer in self.layers for v in layer))
 
     def default_time(self) -> float:
-        timing = derive_timing(self.apparatus, self.packet, self.units)
         if self.experiment == "oracle-compare":
             return detection_time(self.apparatus, self.packet, self.units)
-        return timing.t_c + 5.0
+        return derive_timing(self.apparatus, self.packet, self.units).t_c + 5.0
 
 
 def impulsive_defaults() -> RunConfig:
@@ -196,6 +200,8 @@ def _floats(section: str, *names: str) -> tuple[_Key, ...]:
 
 _ENSEMBLES = ("classical", "meanfield")
 _TIMED = ("evolve", "density", "meanfield", "oracle-compare", "sandwich")
+# experiments computed in Python floats, which run without importing numpy
+_SCALAR = ("backtrack", "recombine")
 
 # Every config key, in the order config_to_text writes them.  A flag is
 # offered only by the subcommands that read its key; a config file may set
@@ -296,6 +302,8 @@ def _json_text(obj: dict) -> str:
 def _csv_text(header: list[str], columns) -> str:
     """One row per index of the equal-length ``columns``, each value as ``_g``
     writes it: the %-format's %.17g gives the same digits as its format spec."""
+    import numpy as np
+
     table = np.column_stack(columns)
     finite = np.isfinite(table)
     if not finite.all():
@@ -309,7 +317,8 @@ def _csv_text(header: list[str], columns) -> str:
 
 # A runner's result: its one-line summary and its artifacts, an ordered
 # mapping from file name to text whose first entry the summary line names.
-# Each runner imports the modules it calls, so that a run loads only those.
+# Each runner imports the modules it calls, so that a run loads only those;
+# the scalar runners call only ``core`` and load no numpy.
 _Result = tuple[str, dict[str, str]]
 
 
@@ -334,6 +343,8 @@ def _field_time(cfg: RunConfig) -> float:
 
 
 def _run_evolve(cfg: RunConfig) -> _Result:
+    import numpy as np
+
     from . import analytic, experiments
 
     t = _field_time(cfg)
@@ -363,6 +374,8 @@ def _run_evolve(cfg: RunConfig) -> _Result:
 
 
 def _run_density(cfg: RunConfig) -> _Result:
+    import numpy as np
+
     from . import analytic, density
 
     t = _field_time(cfg)
@@ -418,9 +431,7 @@ def _run_oracle_compare(cfg: RunConfig) -> _Result:
 
 
 def _run_backtrack(cfg: RunConfig) -> _Result:
-    from . import experiments
-
-    report = experiments.backtrack_collapse(cfg.packet, cfg.apparatus, units=cfg.units)
+    report = backtrack_collapse(cfg.packet, cfg.apparatus, units=cfg.units)
     return (f"backtrack: y_collapse={_g(report.y_collapse)}",
             {"report.json": _json_text(report.to_json_dict())})
 
@@ -436,12 +447,8 @@ def _reversal_stage(cfg: RunConfig) -> Apparatus:
 
 
 def _run_recombine(cfg: RunConfig) -> _Result:
-    from . import experiments
-
     stage2 = None if cfg.separated else _reversal_stage(cfg)
-    result = experiments.recombine(
-        cfg.packet, cfg.apparatus, stage2, cfg.phase_error, cfg.units
-    )
+    result = recombine(cfg.packet, cfg.apparatus, stage2, cfg.phase_error, cfg.units)
     return (f"recombine: fidelity={_g(result.fidelity)}",
             {"report.json": _json_text(result.to_json_dict())})
 
@@ -483,12 +490,18 @@ def _output_dir(path: str) -> str:
 def run(config: RunConfig) -> int:
     """Execute one configured experiment, then write all of its artifacts;
     returns the process exit code."""
+    runner = _RUNNERS[config.experiment]
     try:
         out = _output_dir(config.out)
-        with np.errstate(over="raise", invalid="raise"):
-            summary, artifacts = _RUNNERS[config.experiment](config)
-    # numpy's FloatingPointError, or a Python float's OverflowError or
-    # ZeroDivisionError (a variance that underflows to 0)
+        if config.experiment in _SCALAR:
+            summary, artifacts = runner(config)
+        else:
+            import numpy as np
+
+            with np.errstate(over="raise", invalid="raise"):
+                summary, artifacts = runner(config)
+    # numpy's FloatingPointError in an array run, or a Python float's
+    # OverflowError or ZeroDivisionError (a variance that underflows to 0)
     except ArithmeticError as exc:
         return _fail(DomainError(f"numeric overflow or invalid operation: {exc}"))
     except MemoryError as exc:  # a size too large to allocate (run.n, run.bins)

@@ -1,20 +1,15 @@
-"""Experimental predictions: virtual collapse point, recombination coherence,
-multilayer beam splitting, and bimodality detection.
+"""Experimental predictions: multilayer beam splitting and bimodality
+detection.  (The scalar experiments, the backtracked collapse point and the
+recombination coherence, live in :mod:`sgsim.core`, without numpy.)
 
-The collapse point is found exactly as an experimenter would: fit straight
-lines to the branch centroids at several post-interaction stations and
-intersect them.  Recombination takes the closed-form overlap of the z
-factors of the two branches (kicked by -+v_z while the beams stay separated,
-unkicked after a perfect reversal), with an injectable relative phase error
-modeling imperfect phase maintenance.
 The multilayer sandwich builds ``evolve``'s closed-form ``SpinorField`` on
 the field schedule of its layers (:mod:`sgsim.analytic`), which
 ``core.flight_schedule`` builds as it builds an apparatus's, and samples its
 z density at the points of a grid sized and edge-checked there too; its
 histogram is the exact mass of the closed form in each bin
 (``SpinorField.branch_mass``), not the grid's sampled probability mass.
-Overlapping layers, a layer upstream of the source and a recombination stage
-2 placed before stage 1 ends are ``InvalidParameterError``s.
+Overlapping layers and a layer upstream of the source are
+``InvalidParameterError``s.
 The "significantly greater" split condition is operationalized by the peak
 detector; the dimensionless kick strength kappa = mu_b*B'*dt*sigma/hbar is
 reported alongside so users can calibrate.
@@ -28,22 +23,17 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .analytic import Grid1D, SpinorField, evolve_packet, schedule_grid
+from .analytic import Grid1D, SpinorField, schedule_grid
 from .classical import Histogram
 from .core import (
-    Apparatus,
     Branch,
     DEFAULT_UNITS,
     GaussianPacket,
     UnitSystem,
-    apparatus_schedule,
-    derive_timing,
-    detection_time,
     flight_schedule,
     kick_integrals,
-    kick_velocity,
 )
-from .errors import DomainError, InvalidParameterError, NoSplitError
+from .errors import InvalidParameterError
 
 _NOMINAL_COUNTS = 1_000_000  # counts per unit of the closed form's exact bin mass
 _PROMINENCE_FRAC = 0.05  # least prominence of a counted peak, as a share of the highest
@@ -177,150 +167,6 @@ def detect_bimodality(values: np.ndarray, coordinates: np.ndarray) -> Bimodality
     separation = abs(float(coordinates[top[1]] - coordinates[top[0]]))
     score = separation / fwhm if fwhm > 0 else math.inf
     return BimodalityReport(int(idx.size), positions, score)
-
-
-# ---------------------------------------------------------------------------
-# collapse-point backtracking
-
-
-@dataclass(frozen=True)
-class CollapseReport:
-    """Backtracked virtual collapse location and predicted detector centroids."""
-
-    y_collapse: float
-    z_d_plus: float
-    z_d_minus: float
-    residual: float
-
-    def to_json_dict(self) -> dict:
-        return {
-            "y_collapse": self.y_collapse,
-            "z_d_plus": self.z_d_plus,
-            "z_d_minus": self.z_d_minus,
-            "residual": self.residual,
-        }
-
-
-def backtrack_collapse(
-    packet: GaussianPacket,
-    apparatus: Apparatus,
-    times: np.ndarray | None = None,
-    centroids: tuple[np.ndarray, np.ndarray] | None = None,
-    units: UnitSystem = DEFAULT_UNITS,
-) -> CollapseReport:
-    """Fit straight lines to branch centroids and intersect them.
-
-    ``times`` are post-interaction sampling times (default: five stations
-    between the region exit and the detector).  ``centroids`` may supply
-    measured (z_plus, z_minus) arrays aligned with ``times``; by default the
-    closed-form centroids -+q of the kick integrals are used.
-    """
-    timing = derive_timing(apparatus, packet, units)
-    if apparatus.grad_Bz == 0:
-        raise NoSplitError("zero field gradient: branch paths are parallel")
-    t_d = detection_time(apparatus, packet, units)
-    if times is None:
-        times = timing.t_c + np.linspace(0.05, 1.0, 5) * (t_d - timing.t_c)
-    times = np.asarray(times, dtype=float)
-    if times.size < 3:
-        raise InvalidParameterError("need at least 3 sampling times for the fit")
-    if np.any(times < timing.t_c):
-        raise DomainError("sampling times must be post-interaction (t >= t_c)")
-    if centroids is None:
-        schedule = apparatus_schedule(apparatus, packet, float(times.max()), units)
-        q = np.array([kick_integrals(schedule, t, units)[1] for t in times])
-        z_plus = Branch.PLUS.deflection_sign * q
-        z_minus = Branch.MINUS.deflection_sign * q
-    else:
-        z_plus, z_minus = (np.asarray(c, dtype=float) for c in centroids)
-    y = packet.source_y(apparatus) + timing.v * (times - packet.t_prime)
-
-    (slope_p, icpt_p), res_p, *_ = np.polyfit(y, z_plus, 1, full=True)
-    (slope_m, icpt_m), res_m, *_ = np.polyfit(y, z_minus, 1, full=True)
-    scale = max(abs(slope_p), abs(slope_m), 1e-300)
-    if abs(slope_p - slope_m) <= 1e-12 * scale:
-        raise NoSplitError("fitted branch lines are parallel; no intersection")
-    y_collapse = (icpt_m - icpt_p) / (slope_p - slope_m)
-    residual = float((res_p.sum() if res_p.size else 0.0) + (res_m.sum() if res_m.size else 0.0))
-    return CollapseReport(
-        y_collapse=float(y_collapse),
-        z_d_plus=float(slope_p * apparatus.y_d + icpt_p),
-        z_d_minus=float(slope_m * apparatus.y_d + icpt_m),
-        residual=residual,
-    )
-
-
-# ---------------------------------------------------------------------------
-# recombination
-
-
-@dataclass(frozen=True)
-class RecombinationResult:
-    """Spin-x survival probability after split (and optional re-merge)."""
-
-    fidelity: float
-    overlap: float
-    separation: float
-
-    def to_json_dict(self) -> dict:
-        return {
-            "fidelity": self.fidelity,
-            "overlap": self.overlap,
-            "separation": self.separation,
-        }
-
-
-def recombine(
-    packet: GaussianPacket,
-    stage1: Apparatus,
-    stage2: Apparatus | None,
-    phase_error: float = 0.0,
-    units: UnitSystem = DEFAULT_UNITS,
-) -> RecombinationResult:
-    """Split the beam with stage1, optionally reverse the kick with stage2,
-    and measure the spin along x.
-
-    With stage2 present it must exactly reverse stage1's kick (equal
-    magnitude, opposite sign); ``phase_error`` is an injected relative phase
-    between the branches at recombination.  Returns
-    P(+x) = (1 + 2*Re[exp(i*delta) * chi_+^* chi_- * <g_+|g_->]) / 2,
-    which is (1 + O*cos(delta))/2 for a real overlap magnitude O and a +x
-    input spin.
-    """
-    timing1 = derive_timing(stage1, packet, units)
-    v_z1 = timing1.v_z
-    if v_z1 == 0.0:
-        raise NoSplitError("stage 1 has zero gradient; nothing to recombine")
-    if stage2 is not None:
-        if stage2.y_b < stage1.y_c:
-            raise InvalidParameterError("stage 2 must start after stage 1 ends")
-        v_z2 = kick_velocity(stage2, packet, units)
-        if not math.isclose(v_z2, -v_z1, rel_tol=1e-9):
-            raise InvalidParameterError(
-                f"stage 2 must reverse stage 1's kick: v_z1 = {v_z1}, v_z2 = {v_z2}"
-            )
-        y0 = packet.source_y(stage1)
-        t_eval = packet.t_prime + (stage2.y_d - y0) / timing1.v
-        # A perfect reversal rejoins the branches: both end at the common
-        # centroid with zero relative velocity (no net kick), so only
-        # phase_error can degrade the overlap.
-        s_p, s_m = 0, 0
-    else:
-        t_eval = detection_time(stage1, packet, units)
-        s_p, s_m = Branch.PLUS.deflection_sign, Branch.MINUS.deflection_sign
-
-    field = evolve_packet(packet, stage1, t_eval, units)
-    separation = abs(field.kicked_center(s_p) - field.kicked_center(s_m))
-    cross = field.overlap(s_p, s_m)
-    term = (
-        np.exp(1j * phase_error)
-        * np.conj(packet.chi_plus) * packet.chi_minus
-        * cross
-    )
-    fidelity = 0.5 * (1.0 + 2.0 * float(np.real(term)))
-    return RecombinationResult(
-        fidelity=fidelity, overlap=abs(cross), separation=separation
-    )
 
 
 # ---------------------------------------------------------------------------

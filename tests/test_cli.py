@@ -1,4 +1,5 @@
 import io
+import itertools
 import json
 import math
 import os
@@ -852,6 +853,83 @@ def test_extreme_ensemble_configs_run(experiment, overrides, tmp_path, capsys):
     assert capsys.readouterr().err == ""
     for path in out.iterdir():
         assert np.isfinite(_artifact_values(path)).all(), path.name
+
+
+# Exit of backtrack and recombine, as (backtrack, recombine), over every
+# single-key override of _EXTREMES, with no spin and with each of
+# _SCALAR_SPINS (one group of four per value), and over two products of
+# extremes, the last key varying fastest.  Each character is one config: 0
+# (exit 0), 3 (InvalidParameterError, exit 3), D (DomainError, exit 4) or N
+# (NoSplitError, exit 4).  The property above accepts exit 4 for any config,
+# so a change that runs a config that failed, or fails one that ran, fails
+# only here.
+_SCALAR_SPINS = [("1+0j", "0+0j"), ("0.6+0j", "0+0.8j"), ("1e-200+0j", "1+0j")]
+_EXIT_CHAR = {(0, None): "0", (3, "InvalidParameterError"): "3", (4, "DomainError"): "D",
+              (4, "NoSplitError"): "N"}
+_SCALAR_EXITS = {
+    "run.n": ("0000 0000", "0000 0000"),
+    "run.bins": ("0000 0000", "0000 0000"),
+    "grid.n_points": ("0000 0000 0000", "0000 0000 0000"),
+    "run.t": ("0000 0000 0000 0000 0000 0000 0000 0000 0000",
+              "0000 0000 0000 0000 0000 0000 0000 0000 0000"),
+    "apparatus.grad_Bz": ("NNNN 0000 0000 0000 0000 DDDD", "NNNN 0000 0000 0000 DDDD DDDD"),
+    "apparatus.y_d": ("0000 0000 DDDD", "0000 0000 0000"),
+    "packet.sigma": ("0000 0000 0000 0000 0000 0000 3333", "DDDD 0000 0000 0000 0000 0000 3333"),
+    "packet.k_y": ("DDDD 0000 0000 0000 NNNN NNNN 3333", "DDDD 0000 0000 0000 0000 0000 3333"),
+    "packet.t_prime": ("3333 0000 3333", "3333 0000 3333"),
+    "sandwich.layers": ("0000 0000 0000 0000 0000 0000 0000 0000",
+                        "0000 0000 0000 0000 0000 0000 0000 0000"),
+    "recombine.phase_error": ("0000 0000", "0000 0000"),
+    "recombine.gap": ("0000 0000 0000 0000", "0000 0000 0000 3333"),
+    "recombine.separated": ("0000", "0000"),
+    "apparatus.grad_Bz*packet.sigma*packet.k_y": (
+        "NNNNNN3 NNNNNN3 NNNNNN3 NNNNNN3 NNNNNN3 NNNNNN3 3333333 "
+        "D000NN3 D000NN3 D000NN3 D000NN3 D000NN3 D000NN3 3333333 "
+        "D000NN3 D000NN3 D000NN3 D000NN3 D000NN3 D000NN3 3333333 "
+        "D0000N3 D0000N3 D0000N3 D0000N3 D0000N3 D0000N3 3333333 "
+        "D0000N3 D0000N3 D0000N3 D0000N3 D0000N3 D0000N3 3333333 "
+        "DDDD003 DDDD003 DDDD003 DDDD003 DDDD003 DDDD003 3333333",
+        "NNNNNN3 NNNNNN3 NNNNNN3 NNNNNN3 NNNNNN3 NNNNNN3 3333333 "
+        "DDDDNN3 D000NN3 0000NN3 0000NN3 0000NN3 0000NN3 3333333 "
+        "DDDDDD3 D000003 D000003 D000003 D000003 D000003 3333333 "
+        "DDDDDD3 D000003 D000003 D000003 D000003 D000003 3333333 "
+        "DDDDDD3 DDDDDD3 DDDDDD3 DDDDDD3 DDDDDD3 DDDDDD3 3333333 "
+        "DDDDDD3 DDDDDD3 DDDDDD3 DDDDDD3 DDDDDD3 DDDDDD3 3333333",
+    ),
+    "recombine.gap*recombine.phase_error*apparatus.grad_Bz": (
+        "N0000D N0000D N0000D N0000D N0000D N0000D N0000D N0000D",
+        "N000DD N000DD N000DD N000DD N000DD N000DD 333333 333333",
+    ),
+}
+
+
+def _scalar_configs(group: str) -> list[dict[str, str]]:
+    if "*" in group:
+        keys = group.split("*")
+        return [dict(zip(keys, values))
+                for values in itertools.product(*(_EXTREMES[key] for key in keys))]
+    spins = [{}] + [{"packet.chi_plus": plus, "packet.chi_minus": minus}
+                    for plus, minus in _SCALAR_SPINS]
+    return [{group: value, **spin} for value in _EXTREMES[group] for spin in spins]
+
+
+@pytest.mark.parametrize("group", list(_SCALAR_EXITS))
+@pytest.mark.parametrize("experiment", cli._SCALAR)
+def test_scalar_exit_codes_are_pinned(experiment, group, tmp_path, capsys):
+    expected = _SCALAR_EXITS[group][cli._SCALAR.index(experiment)].replace(" ", "")
+    configs = _scalar_configs(group)
+    assert len(configs) == len(expected)
+    changed = []
+    for i, (overrides, want) in enumerate(zip(configs, expected)):
+        cfg_path = tmp_path / f"{i}.cfg"
+        cfg_path.write_text("".join(f"{k} = {v}\n" for k, v in overrides.items()))
+        code = main([experiment, "--config", str(cfg_path), "--out", str(tmp_path / f"o{i}")])
+        lines = capsys.readouterr().err.splitlines()
+        error = json.loads(lines[0])["error"] if len(lines) == 1 else None
+        got = _EXIT_CHAR.get((code, error), "?")
+        if got != want:
+            changed.append((overrides, want, got, lines))
+    assert changed == []
 
 
 @pytest.mark.parametrize("argv", [

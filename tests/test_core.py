@@ -1,7 +1,10 @@
+import itertools
 import math
+import sys
 
+import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from sgsim import (
     Apparatus,
@@ -13,7 +16,7 @@ from sgsim import (
     detection_time,
     kick_velocity,
 )
-from sgsim.core import apparatus_schedule, flight_schedule
+from sgsim.core import _fit_line, apparatus_schedule, flight_schedule
 
 
 def test_branch_signs():
@@ -144,3 +147,27 @@ def test_zmax_two_computations_agree(y_b, dy, tail, grad, k_y):
     dtheta = units.mass * timing.v_z / p_y
     lhs = abs((app.y_d - app.y_bar) * dtheta)
     assert lhs == pytest.approx(timing.z_max, rel=1e-12, abs=1e-300)
+
+
+@settings(deadline=None)
+@given(
+    x0=st.floats(-10.0, 10.0),
+    steps=st.lists(st.floats(1.0, 10.0), min_size=2, max_size=7),
+    slope=st.floats(0.1, 100.0) | st.floats(-100.0, -0.1),
+    intercept=st.floats(1.0, 100.0) | st.floats(-100.0, -1.0),
+    noise=st.lists(st.floats(-1e-3, 1e-3), min_size=8, max_size=8),
+)
+def test_line_fit_matches_polyfit(x0, steps, slope, intercept, noise):
+    # backtrack's fit in Python floats against numpy's least squares, on
+    # well-conditioned points: at least 1 apart, within 10 of 0 at the first
+    x = list(itertools.accumulate([x0, *steps]))
+    y = [slope * xi + intercept + e for xi, e in zip(x, noise)]
+    fit_slope, fit_intercept, residual = _fit_line(x, y)
+    (ref_slope, ref_intercept), _, *_ = np.polyfit(x, y, 1, full=True)
+    assert fit_slope == pytest.approx(ref_slope, rel=1e-9, abs=0.0)
+    assert fit_intercept == pytest.approx(ref_intercept, rel=1e-9, abs=0.0)
+    assert residual >= 0.0
+    # points on a line leave only rounding: a few ulps of the largest |y| per point
+    line = [slope * xi + intercept for xi in x]
+    ulp = sys.float_info.epsilon * max(map(abs, line))
+    assert 0.0 <= _fit_line(x, line)[2] <= len(x) * (8.0 * ulp) ** 2

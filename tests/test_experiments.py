@@ -267,6 +267,60 @@ def test_backtrack_errors(default_apparatus, default_packet):
         )
 
 
+def _measured_stations(apparatus, packet):
+    timing = derive_timing(apparatus, packet)
+    times = timing.t_c + np.linspace(0.1, 1.0, 5)
+    z_minus = timing.v_z * (times - timing.t_bar)
+    return times, -z_minus, z_minus
+
+
+def test_backtrack_refuses_non_finite_times(default_apparatus, default_packet):
+    times, _, _ = _measured_stations(default_apparatus, default_packet)
+    times[-1] = math.inf
+    with pytest.raises(InvalidParameterError, match="finite"):
+        backtrack_collapse(default_packet, default_apparatus, times=times)
+
+
+def test_backtrack_refuses_non_finite_centroids(default_apparatus, default_packet):
+    # an inf centroid made every value of the report NaN
+    times, z_plus, z_minus = _measured_stations(default_apparatus, default_packet)
+    z_plus[2] = math.inf
+    with pytest.raises(InvalidParameterError, match="finite"):
+        backtrack_collapse(default_packet, default_apparatus, times=times,
+                           centroids=(z_plus, z_minus))
+
+
+def test_backtrack_refuses_centroids_unlike_the_times(default_apparatus, default_packet):
+    times, z_plus, z_minus = _measured_stations(default_apparatus, default_packet)
+    with pytest.raises(InvalidParameterError, match="length"):
+        backtrack_collapse(default_packet, default_apparatus, times=times,
+                           centroids=(z_plus, z_minus[:-1]))
+
+
+def test_backtrack_refuses_coincident_times(default_apparatus, default_packet):
+    # three stations at one time gave y_collapse = -7 from a rank-deficient fit
+    t = derive_timing(default_apparatus, default_packet).t_c + 1.0
+    with pytest.raises(InvalidParameterError, match="distinct"):
+        backtrack_collapse(default_packet, default_apparatus, times=[t, t, t])
+
+
+@pytest.mark.parametrize("grad,y_d", [(1e-300, 1e300), (-1e300, 1e6)])
+def test_backtrack_overflowing_fit_is_a_domain_error(default_packet, grad, y_d):
+    # the stations' y spread squares past the float range, or the centroids
+    # do: a numeric failure, not parallel lines
+    with pytest.raises(DomainError, match="fit"):
+        backtrack_collapse(default_packet, Apparatus(0.0, 5.0, 6.0, y_d, grad))
+
+
+def test_backtrack_overflowing_result_is_a_domain_error(default_packet):
+    # steep lines extrapolated to a detector at y = 1e300 leave the float range
+    app = Apparatus(0.0, 5.0, 6.0, 1e300, 100.0)
+    times = derive_timing(app, default_packet).t_c + np.linspace(0.1, 1.0, 5)
+    z = 1e10 * (10.0 * times - 5.5)
+    with pytest.raises(DomainError, match="overflows"):
+        backtrack_collapse(default_packet, app, times=times, centroids=(z, -z))
+
+
 def test_backtrack_with_measured_centroids(default_apparatus, default_packet):
     timing = derive_timing(default_apparatus, default_packet)
     times = timing.t_c + np.linspace(0.1, 1.0, 5)

@@ -1,6 +1,7 @@
 """The runtime is the closed form: only the CLI and the package's public
-namespace reach the grid oracle, and a CLI run imports only the modules its
-experiment calls."""
+namespace reach the grid oracle, a CLI run imports only the modules its
+experiment calls, and the scalar runs and every failed parse or validation
+import no numpy."""
 
 import ast
 import importlib.util
@@ -61,6 +62,41 @@ def test_a_classical_run_loads_neither_oracle_nor_experiments(fresh_python, tmp_
                      f"assert sgsim.cli.main(['classical', '--n', '1000', '--out', {str(out)!r}]) == 0")
     assert loaded == ["classical"]
     assert (out / "histogram.csv").exists()
+
+
+def _is_numpy_import(node: ast.AST) -> bool:
+    if isinstance(node, ast.Import):
+        return any(alias.name.partition(".")[0] == "numpy" for alias in node.names)
+    return (isinstance(node, ast.ImportFrom) and node.level == 0
+            and (node.module or "").partition(".")[0] == "numpy")
+
+
+def test_numpy_free_modules_and_cli_import_numpy_only_in_functions():
+    for name in ("core.py", "errors.py", "__init__.py"):
+        tree = ast.parse((_PACKAGE / name).read_text())
+        assert not any(_is_numpy_import(node) for node in ast.walk(tree)), name
+    tree = ast.parse((_PACKAGE / "cli.py").read_text())
+    in_functions = {id(node) for function in ast.walk(tree)
+                    if isinstance(function, ast.FunctionDef) for node in ast.walk(function)}
+    imports = [node for node in ast.walk(tree) if _is_numpy_import(node)]
+    assert imports and all(id(node) in in_functions for node in imports)
+
+
+@pytest.mark.parametrize("argv,code", [
+    (["backtrack"], 0),
+    (["recombine"], 0),
+    (["recombine", "--separated"], 0),
+    (["classical", "--bogus", "1"], 2),  # a parse error
+    (["classical", "--n", "0"], 3),  # a validation error of the config
+    (["recombine", "--gap", "-0.5"], 3),  # a validation error inside a scalar run
+], ids=["backtrack", "recombine", "separated", "parse", "validation", "layout"])
+def test_scalar_runs_and_failed_configs_load_no_numpy(fresh_python, tmp_path, argv, code):
+    out = fresh_python(
+        "import sys, sgsim.cli\n"
+        f"code = sgsim.cli.main({argv + ['--out', str(tmp_path / 'out')]!r})\n"
+        "print(code, [m for m in sys.modules if m.partition('.')[0] == 'numpy'])"
+    )
+    assert out.splitlines()[-1] == f"{code} []"
 
 
 def test_every_public_name_resolves_lazily(fresh_python):
@@ -164,3 +200,11 @@ def test_benchmark_tracer_names_resolve():
     finally:
         tracer.uninstall()
     assert [dict(vars(owner)) for owner in owners] == before
+
+
+def test_benchmark_imports_resolve():
+    # perfbench's split_search set-up imports dispersion_factor from analytic,
+    # which takes it from the numpy-free core
+    from sgsim import analytic, core
+
+    assert analytic.dispersion_factor is core.dispersion_factor
