@@ -17,10 +17,10 @@ __version__ = "0.1.0"
 # Each submodule and the public names it defines.
 _EXPORTS = {
     "core": (
-        "Apparatus", "Branch", "CollapseReport", "DEFAULT_UNITS", "GaussianPacket",
-        "RecombinationResult", "Timing", "UnitSystem", "backtrack_collapse", "derive_timing",
-        "detection_time", "dispersion_factor", "kick_velocity", "recombine",
+        "Apparatus", "Branch", "DEFAULT_UNITS", "GaussianPacket", "Timing", "UnitSystem",
+        "derive_timing", "detection_time", "dispersion_factor", "kick_velocity",
     ),
+    "scalar": ("CollapseReport", "RecombinationResult", "backtrack_collapse", "recombine"),
     "classical": ("Histogram", "classical_ensemble", "classical_trajectory"),
     "analytic": ("Grid1D", "SpinorField", "evolve_packet", "suggest_grid"),
     "density": ("coherence_norm", "density_sweep"),

@@ -46,31 +46,17 @@ from .core import (
     DEFAULT_UNITS,
     GaussianPacket,
     UnitSystem,
+    _even_bin_mass,
+    apparatus_kicks,
     apparatus_schedule,
     branch_overlap,
     dispersion_factor,
     kick_integrals,
+    packet_width,
 )
 from .errors import ExtentError, InvalidParameterError
 
 EDGE_TOL = 1e-10  # max tolerated relative density at a grid's edge
-
-_erf = np.frompyfunc(math.erf, 1, 1)  # elementwise math.erf
-_erfc = np.frompyfunc(math.erfc, 1, 1)
-
-
-def _even_bin_mass(u: np.ndarray, outside: np.ndarray, inside: np.ndarray) -> np.ndarray:
-    """Mass between consecutive ascending points u of a distribution even
-    about 0, from its mass ``outside`` and ``inside`` [-|u|, |u|] at each
-    point: half the difference of the outside masses for a bin on one side
-    of 0, where the inside masses would subtract two values near 1 and keep
-    only their absolute precision, and half the sum of the inside masses
-    for a bin across 0."""
-    lo, hi = u[:-1], u[1:]
-    return 0.5 * np.where(
-        lo >= 0.0, outside[:-1] - outside[1:],
-        np.where(hi <= 0.0, outside[1:] - outside[:-1], inside[:-1] + inside[1:]),
-    )
 
 
 @dataclass(frozen=True)
@@ -106,7 +92,7 @@ class SpinorField:
     @property
     def width(self) -> float:
         """Gaussian amplitude width sigma*|f|; the density sd is width/sqrt(2)."""
-        return self.packet.sigma * abs(self.f)
+        return packet_width(self.tau, self.packet.sigma, self.units)
 
     def kicked_center(self, s: float) -> float:
         """Center s*q of the z factor kicked by s; -+v_z*(t - tbar) once the
@@ -171,17 +157,16 @@ class SpinorField:
         dz /= math.sqrt(math.pi) * w
         return dz if dz.ndim else dz[()]  # a scalar for a scalar z
 
-    def branch_mass(self, s: float, edges) -> np.ndarray:
+    def branch_mass(self, s: float, edges) -> list[float]:
         """Exact mass of ``branch_density(s)`` between consecutive ascending
         edges, from the edges' distances |u| from the center in widths: half
         of erf(|u_lo|) + erf(|u_hi|) for a bin across the center, and half
         the erfc difference of |u| for a bin on one side of it, where the erf
         difference would subtract two values near 1 and keep only their
-        absolute precision."""
-        u = (np.asarray(edges, dtype=float) - self.kicked_center(s)) / self.width
-        a = np.abs(u)
-        tail, core = (np.asarray(f(a), dtype=float) for f in (_erfc, _erf))
-        return _even_bin_mass(u, tail, core)
+        absolute precision (``core._even_bin_mass``)."""
+        center, w = self.kicked_center(s), self.width
+        u = [(e - center) / w for e in edges]
+        return _even_bin_mass(u, [math.erfc(abs(x)) for x in u], lambda i: math.erf(abs(u[i])))
 
     def z_marginal_density(self, z):
         """|chi_+|^2 * branch_density(-1) + |chi_-|^2 * branch_density(+1),
@@ -202,11 +187,8 @@ def evolve_packet(
 ) -> SpinorField:
     """Closed-form entangled field at any time t after emission, with the
     apparatus's field on between t_b and t_c."""
-    if not math.isfinite(t):
-        raise InvalidParameterError(f"evaluation time must be finite, got {t}")
     return SpinorField(
-        packet=packet, units=units, t=t,
-        kicks=kick_integrals(apparatus_schedule(apparatus, packet, t, units), t, units),
+        packet=packet, units=units, t=t, kicks=apparatus_kicks(apparatus, packet, t, units),
         y_source=packet.source_y(apparatus),
     )
 

@@ -14,9 +14,10 @@ Exit codes: 0 success, 2 parse or usage error or an unwritable artifact,
 also emit a machine-readable JSON error record on stderr.
 
 numpy is imported only by the runners of array experiments, which run with
-its overflow and invalid-operation errors raised; the scalar experiments
-(``_SCALAR``), and every failure to parse or validate the config, run
-without it.
+its overflow and invalid-operation errors raised.  The experiments computed
+in Python floats (``_NUMPY_FREE``: the two ensembles, drawn by Python's
+``random``, and the two scalar experiments), and every failure to parse or
+validate the config, run without it.
 """
 
 from __future__ import annotations
@@ -37,10 +38,8 @@ from .core import (
     GaussianPacket,
     UnitSystem,
     _require_finite,
-    backtrack_collapse,
     derive_timing,
     detection_time,
-    recombine,
 )
 from .errors import ConfigError, DomainError, InvalidParameterError, SgSimError
 
@@ -201,7 +200,7 @@ def _floats(section: str, *names: str) -> tuple[_Key, ...]:
 _ENSEMBLES = ("classical", "meanfield")
 _TIMED = ("evolve", "density", "meanfield", "oracle-compare", "sandwich")
 # experiments computed in Python floats, which run without importing numpy
-_SCALAR = ("backtrack", "recombine")
+_NUMPY_FREE = ("classical", "meanfield", "backtrack", "recombine")
 
 # Every config key, in the order config_to_text writes them.  A flag is
 # offered only by the subcommands that read its key; a config file may set
@@ -318,7 +317,7 @@ def _csv_text(header: list[str], columns) -> str:
 # A runner's result: its one-line summary and its artifacts, an ordered
 # mapping from file name to text whose first entry the summary line names.
 # Each runner imports the modules it calls, so that a run loads only those;
-# the scalar runners call only ``core`` and load no numpy.
+# the runners of ``_NUMPY_FREE`` load no numpy.
 _Result = tuple[str, dict[str, str]]
 
 
@@ -431,6 +430,8 @@ def _run_oracle_compare(cfg: RunConfig) -> _Result:
 
 
 def _run_backtrack(cfg: RunConfig) -> _Result:
+    from .scalar import backtrack_collapse
+
     report = backtrack_collapse(cfg.packet, cfg.apparatus, units=cfg.units)
     return (f"backtrack: y_collapse={_g(report.y_collapse)}",
             {"report.json": _json_text(report.to_json_dict())})
@@ -447,6 +448,8 @@ def _reversal_stage(cfg: RunConfig) -> Apparatus:
 
 
 def _run_recombine(cfg: RunConfig) -> _Result:
+    from .scalar import recombine
+
     stage2 = None if cfg.separated else _reversal_stage(cfg)
     result = recombine(cfg.packet, cfg.apparatus, stage2, cfg.phase_error, cfg.units)
     return (f"recombine: fidelity={_g(result.fidelity)}",
@@ -493,7 +496,7 @@ def run(config: RunConfig) -> int:
     runner = _RUNNERS[config.experiment]
     try:
         out = _output_dir(config.out)
-        if config.experiment in _SCALAR:
+        if config.experiment in _NUMPY_FREE:
             summary, artifacts = runner(config)
         else:
             import numpy as np
@@ -504,7 +507,7 @@ def run(config: RunConfig) -> int:
     # OverflowError or ZeroDivisionError (a variance that underflows to 0)
     except ArithmeticError as exc:
         return _fail(DomainError(f"numeric overflow or invalid operation: {exc}"))
-    except MemoryError as exc:  # a size too large to allocate (run.n, run.bins)
+    except MemoryError as exc:  # a size too large to allocate (grid.n_points)
         return _fail(DomainError(f"out of memory: {exc}"))
     except SgSimError as exc:
         return _fail(exc)

@@ -1,6 +1,6 @@
 """Experimental predictions: multilayer beam splitting and bimodality
 detection.  (The scalar experiments, the backtracked collapse point and the
-recombination coherence, live in :mod:`sgsim.core`, without numpy.)
+recombination coherence, live in :mod:`sgsim.scalar`, without numpy.)
 
 The multilayer sandwich builds ``evolve``'s closed-form ``SpinorField`` on
 the field schedule of its layers (:mod:`sgsim.analytic`), which
@@ -30,10 +30,11 @@ from .core import (
     DEFAULT_UNITS,
     GaussianPacket,
     UnitSystem,
+    _linspace,
     flight_schedule,
     kick_integrals,
 )
-from .errors import InvalidParameterError
+from .errors import DomainError, InvalidParameterError
 
 _NOMINAL_COUNTS = 1_000_000  # counts per unit of the closed form's exact bin mass
 _PROMINENCE_FRAC = 0.05  # least prominence of a counted peak, as a share of the highest
@@ -259,13 +260,17 @@ def sandwich(
     grid.check_resolved(density)
     report = detect_bimodality(density, z)
 
-    edges = np.linspace(grid.z_min, grid.z_max, bins + 1)
-    mass = (
-        field.branch_mass(Branch.PLUS.deflection_sign, edges) * abs(packet.chi_plus) ** 2
-        + field.branch_mass(Branch.MINUS.deflection_sign, edges) * abs(packet.chi_minus) ** 2
-    )
-    counts = np.rint(mass * _NOMINAL_COUNTS).astype(np.int64)
-    histogram = Histogram(edges=edges, counts=counts, n_total=int(counts.sum()))
+    edges = _linspace(grid.z_min, grid.z_max, bins + 1)
+    w_plus, w_minus = abs(packet.chi_plus) ** 2, abs(packet.chi_minus) ** 2
+    try:  # round() is half to even, as np.rint
+        counts = [
+            round((plus * w_plus + minus * w_minus) * _NOMINAL_COUNTS)
+            for plus, minus in zip(field.branch_mass(Branch.PLUS.deflection_sign, edges),
+                                   field.branch_mass(Branch.MINUS.deflection_sign, edges))
+        ]
+    except (ValueError, OverflowError) as exc:  # a NaN or infinite bin mass
+        raise DomainError(f"the closed form's bin masses are not finite: {exc}") from exc
+    histogram = Histogram(edges=edges, counts=counts, n_total=sum(counts))
     kappas = tuple(layer_kappa(layer, packet, units) for layer in layers.layers)
     return SandwichResult(
         histogram=histogram,

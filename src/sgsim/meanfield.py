@@ -9,7 +9,10 @@ Averaged over an isotropic spin ensemble this recreates the flat classical
 distribution, smoothed by the packet width.  The histogram of n such spins is
 Multinomial(n, p) over that distribution's exact bin masses p
 (``meanfield_ensemble_mass``) and the mass outside the edges, drawn as one
-multinomial draw (``Histogram.draw``).
+multinomial draw (``Histogram.draw``).  The ensemble, its edges and its
+masses run in Python floats: only the array functions
+(``meanfield_ensemble_density``, ``spin_moment_average``) and the closed-form
+field of ``meanfield_evolve`` import numpy, inside them.
 
 <mu_z> is frozen at its initial value (to lowest order in B the spin part is
 constant); no self-consistent iteration is performed.  The state is the
@@ -23,20 +26,35 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
-import numpy as np
-
-from .analytic import SpinorField, _erf, _erfc, _even_bin_mass, evolve_packet
 # chunked_samples is not called here: the benchmark's tracer wraps it (ROADMAP open item 1)
 from .classical import Histogram, chunked_samples
-from .core import Apparatus, DEFAULT_UNITS, GaussianPacket, UnitSystem
+from .core import (
+    Apparatus,
+    DEFAULT_UNITS,
+    GaussianPacket,
+    UnitSystem,
+    _even_bin_mass,
+    _linspace,
+    apparatus_kicks,
+    packet_width,
+)
 from .errors import InvalidParameterError
+
+if TYPE_CHECKING:
+    from .analytic import SpinorField
+
+_ROOT_2 = math.sqrt(2.0)
+_ROOT_2PI = math.sqrt(2.0 * math.pi)
 
 
 def spin_moment_average(
     chi_plus: complex, chi_minus: complex, units: UnitSystem = DEFAULT_UNITS
 ) -> np.ndarray:
     """<mu_vec> = -mu_b * <chi| sigma_vec |chi> for a normalized spinor."""
+    import numpy as np
+
     cp, cm = complex(chi_plus), complex(chi_minus)
     sx = 2.0 * (np.conj(cp) * cm).real
     sy = 2.0 * (np.conj(cp) * cm).imag
@@ -91,6 +109,8 @@ def meanfield_evolve(
     units: UnitSystem = DEFAULT_UNITS,
 ) -> MeanFieldState:
     """Mean-field Gaussian for polar spin angle beta, <mu_z> = -mu_b*cos(beta)."""
+    from .analytic import evolve_packet
+
     if not math.isfinite(beta):
         raise InvalidParameterError(f"beta must be finite, got {beta}")
     return MeanFieldState(
@@ -118,10 +138,10 @@ def meanfield_ensemble(
     fixed seed.  Draws outside the edges are not binned, so n_total may be
     below n.
     """
-    fld = evolve_packet(packet, apparatus, t, units)
-    span = abs(fld.kicked_center(1.0))
-    sd = fld.width / math.sqrt(2.0)
-    edges = np.linspace(-(span + 5.0 * sd), span + 5.0 * sd, bins + 1)
+    # the closed form's kick and width, as evolve_packet's field has them
+    span = abs(apparatus_kicks(apparatus, packet, t, units)[1])
+    sd = packet_width(t - packet.t_prime, packet.sigma, units) / _ROOT_2
+    edges = _linspace(-(span + 5.0 * sd), span + 5.0 * sd, bins + 1)
     return Histogram.draw(n, seed, edges, *meanfield_ensemble_mass(edges, span, sd))
 
 
@@ -132,6 +152,9 @@ def meanfield_ensemble_density(z, span: float, sd: float):
     p(z) = (1/(2*span)) * [Phi((z+span)/sd) - Phi((z-span)/sd)] with Phi the
     standard normal CDF; reduces to the bare Gaussian as span -> 0.
     """
+    import numpy as np
+
+    erf, erfc = np.frompyfunc(math.erf, 1, 1), np.frompyfunc(math.erfc, 1, 1)
     z = np.asarray(z, dtype=float)
     if span <= 1e-8 * sd:
         # bare-Gaussian limit; the erf difference below would cancel badly
@@ -140,19 +163,29 @@ def meanfield_ensemble_density(z, span: float, sd: float):
     # values near 1, take erfc(b) - erfc(a) of the same arguments instead.
     a = (np.abs(z) + span) / (sd * math.sqrt(2.0))
     b = (np.abs(z) - span) / (sd * math.sqrt(2.0))
-    diff = np.where(b > 0.0, _erfc(b) - _erfc(a), _erf(a) - _erf(b))
+    diff = np.where(b > 0.0, erfc(b) - erfc(a), erf(a) - erf(b))
     # the ufuncs give Python floats (a bare one for 0-d input); back to floats
     return np.asarray(diff, dtype=float) / (4.0 * span)
 
 
-def _phi(x):
+def _phi(x: float) -> float:
     """Standard normal density; |x| is capped where it is 0 anyway, so that
     x*x cannot overflow."""
-    x = np.minimum(np.abs(x), 40.0)
-    return np.exp(-0.5 * x * x) / math.sqrt(2.0 * math.pi)
+    x = min(abs(x), 40.0)
+    return math.exp(-0.5 * x * x) / _ROOT_2PI
 
 
-def meanfield_ensemble_mass(edges, span: float, sd: float) -> tuple[np.ndarray, float]:
+def _g_minus(x: float) -> float:
+    """G(-x) = phi(x) - x*Phi(-x), G the antiderivative of Phi."""
+    return _phi(x) - 0.5 * x * math.erfc(x / _ROOT_2)
+
+
+def _h(x: float) -> float:
+    """H(x) = G(x) + G(-x) = x*erf(x/sqrt(2)) + 2*phi(x)."""
+    return x * math.erf(x / _ROOT_2) + 2.0 * _phi(x)
+
+
+def meanfield_ensemble_mass(edges, span: float, sd: float) -> tuple[list[float], float]:
     """Exact masses of ``meanfield_ensemble_density`` between consecutive
     ascending edges, and its mass outside the edges.
 
@@ -167,32 +200,27 @@ def meanfield_ensemble_mass(edges, span: float, sd: float) -> tuple[np.ndarray, 
     x*erf(x/sqrt(2)) + 2*phi(x): the erfc/erf split of the density.  Reduces
     to the bare Gaussian's erfc and erf as span -> 0.
     """
-    z = np.asarray(edges, dtype=float)
-    a = np.abs(z)
-    if span <= 1e-8 * sd:  # the bare-Gaussian limit, as in the density
-        x = a / (sd * math.sqrt(2.0))
-        tail = np.asarray(_erfc(x), dtype=float)
-        core = np.asarray(_erf(x), dtype=float)
-    else:
+    tail, core = [], []  # the mass outside and inside [-|z|, |z|] at each edge
+    for z in edges:
+        a = abs(z)
+        if span <= 1e-8 * sd:  # the bare-Gaussian limit, as in the density
+            x = a / (sd * _ROOT_2)
+            tail.append(math.erfc(x))
+            core.append(math.erf(x))
+            continue
         b = (a - span) / sd
         c = (a + span) / sd
-
-        def g_minus(x):  # G(-x)
-            return _phi(x) - 0.5 * x * np.asarray(_erfc(x / math.sqrt(2.0)), dtype=float)
-
-        def h(x):
-            return x * np.asarray(_erf(x / math.sqrt(2.0)), dtype=float) + 2.0 * _phi(x)
-
-        beyond = b > 0.0
-        outside = (sd / span) * (g_minus(b) - g_minus(c))
-        inside = (sd / (2.0 * span)) * (h(c) - h(b))
-        tail = np.where(beyond, outside, 1.0 - inside)
-        core = np.where(beyond, 1.0 - outside, inside)
+        if b > 0.0:
+            outside = (sd / span) * (_g_minus(b) - _g_minus(c))
+            tail.append(outside)
+            core.append(1.0 - outside)
+        else:
+            inside = (sd / (2.0 * span)) * (_h(c) - _h(b))
+            tail.append(1.0 - inside)
+            core.append(inside)
     # the points -inf and +inf, with nothing outside and everything inside,
     # make the masses below and above the edges the first and last "bins"
     mass = _even_bin_mass(
-        np.concatenate(([-np.inf], z, [np.inf])),
-        np.concatenate(([0.0], tail, [0.0])),
-        np.concatenate(([1.0], core, [1.0])),
+        [-math.inf, *edges, math.inf], [0.0, *tail, 0.0], [1.0, *core, 1.0].__getitem__
     )
-    return mass[1:-1], float(mass[0] + mass[-1])
+    return mass[1:-1], mass[0] + mass[-1]

@@ -57,7 +57,7 @@ def test_acceptance_1_classical_flatness():
     elapsed = time.time() - start
     p = 1.0 / bins
     se = math.sqrt(p * (1 - p) / n)
-    dev = np.max(np.abs(hist.frequencies[1:-1] - p)) / se
+    dev = np.max(np.abs(np.asarray(hist.frequencies[1:-1]) - p)) / se
     ok = dev < 5.0 and elapsed < 5.0
     assert _report(
         1, "classical flatness", ok,
@@ -168,7 +168,7 @@ def test_acceptance_6_meanfield_classical_recovery():
         for lo, hi in zip(hist.edges[:-1], hist.edges[1:])
     ])
     keep = expected >= 10.0
-    stat = float(np.sum((hist.counts[keep] - expected[keep]) ** 2 / expected[keep]))
+    stat = float(np.sum((np.asarray(hist.counts)[keep] - expected[keep]) ** 2 / expected[keep]))
     dof = int(keep.sum()) - 1
     threshold = chi2.ppf(0.99, dof)
     ok = stat < threshold and elapsed < 10.0

@@ -1,14 +1,17 @@
 import json
 import math
+import random
 import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
-from scipy.stats import chi2
+import mpmath
+from scipy.stats import binom, chi2, norm, poisson
 
 from sgsim import (
     Apparatus,
+    DomainError,
     GaussianPacket,
     Histogram,
     InvalidParameterError,
@@ -17,7 +20,7 @@ from sgsim import (
     derive_timing,
     meanfield_ensemble,
 )
-from sgsim.classical import classical_ensemble_mass, default_edges
+from sgsim.classical import _binomial, _log_pmf, classical_ensemble_mass, default_edges
 
 
 def _rk4_oracle(mu_z, apparatus, packet, t, n_steps=4000):
@@ -77,8 +80,6 @@ def test_region_displacement_second_order(default_apparatus, default_packet):
 
 
 def test_trajectory_domain_errors(default_apparatus, default_packet):
-    from sgsim import DomainError
-
     with pytest.raises(DomainError):
         classical_trajectory(1.0, default_apparatus, default_packet, -0.1)
     with pytest.raises(InvalidParameterError):
@@ -90,7 +91,7 @@ def test_ensemble_flat_interior(default_apparatus, default_packet):
     hist = classical_ensemble(n, 7, default_apparatus, default_packet, bins)
     p = 1.0 / bins  # equal-width bins over the full support
     se = math.sqrt(p * (1 - p) / n)
-    interior = hist.frequencies[1:-1]
+    interior = np.asarray(hist.frequencies[1:-1])
     assert np.all(np.abs(interior - p) < 5 * se)
 
 
@@ -98,8 +99,9 @@ def test_ensemble_support(default_apparatus, default_packet):
     timing = derive_timing(default_apparatus, default_packet)
     wide = np.linspace(-2 * timing.z_max, 2 * timing.z_max, 81)
     hist = Histogram.draw(50_000, 3, wide, *classical_ensemble_mass(wide, timing.z_max))
-    centers = 0.5 * (hist.edges[:-1] + hist.edges[1:])
-    occupied = centers[hist.counts > 0]
+    edges = np.asarray(hist.edges)
+    centers = 0.5 * (edges[:-1] + edges[1:])
+    occupied = centers[np.asarray(hist.counts) > 0]
     assert np.all(np.abs(occupied) <= timing.z_max + hist.widths[0])
 
 
@@ -133,16 +135,16 @@ def test_ensemble_masses_are_overlaps_with_the_support():
     for edges in ([-1.0, 0.0, 1.0], [-2.0, -1.0, 0.0], [-1.0, 0.5, 2.0], [1.0, 2.0]):
         masses, outside = classical_ensemble_mass(edges, 0.0)
         assert np.array_equal(masses, np.histogram([0.0], edges)[0])
-        assert outside == 1.0 - masses.sum()
+        assert outside == 1.0 - sum(masses)
 
 
 @pytest.mark.parametrize("bins", [33, 97, "wide"])
 def test_draw_gives_no_draw_to_a_massless_category(default_apparatus, default_packet, bins):
-    # numpy gives the last category whatever the others leave.  Drawn last,
-    # the heaviest category absorbs the rounding of the masses' sum, so
-    # edges that cover the support lose no draw and a bin past it gets none,
-    # even at n = 10**18 (with the outside category last, 33 and 97 bins
-    # lost 347 and 1666 draws to it)
+    # the last category gets whatever the others leave.  Drawn last, the
+    # heaviest category absorbs the rounding of the masses' sum, so edges
+    # that cover the support lose no draw and a bin past it gets none, even
+    # at n = 10**18 (with the outside category last, numpy's multinomial
+    # lost 347 and 1666 draws to it at 33 and 97 bins)
     n = 10**18
     if bins == "wide":
         z_max = derive_timing(default_apparatus, default_packet).z_max
@@ -160,7 +162,7 @@ def test_ensemble_chi_square_against_flat(default_apparatus, default_packet, n):
     bins = 40
     hist = classical_ensemble(n, 2024, default_apparatus, default_packet, bins)
     expected = n / bins  # the default edges cut the support into equal bins
-    stat = float(np.sum((hist.counts - expected) ** 2 / expected))
+    stat = float(np.sum((np.asarray(hist.counts) - expected) ** 2 / expected))
     assert hist.n_total == n
     assert stat < chi2.ppf(0.999, bins - 1)
 
@@ -191,6 +193,11 @@ def test_histogram_validation():
         Histogram(edges=[0.0, 1.0], counts=[1, 1], n_total=2)
     with pytest.raises(InvalidParameterError):
         Histogram(edges=[0.0, 1.0, 2.0], counts=[1, 1], n_total=5)
+    # counts are int64 integers
+    with pytest.raises(InvalidParameterError):
+        Histogram(edges=[0.0, 1.0, 2.0], counts=[1.5, 0.5], n_total=2)
+    with pytest.raises(InvalidParameterError):
+        Histogram(edges=[0.0, 1.0, 2.0], counts=[2**63, 0], n_total=2**63)
 
 
 def _histogram_from_json(d: dict) -> Histogram:
@@ -215,7 +222,7 @@ def test_histogram_serialization_roundtrip(rng):
 )
 def test_default_edges_properties(z_max, bins):
     edges = default_edges(z_max, bins)
-    assert edges.size == bins + 1
+    assert len(edges) == bins + 1
     assert np.all(np.diff(edges) > 0)
     assert edges[0] == -edges[-1]
 
@@ -225,4 +232,140 @@ def test_default_edges_properties(z_max, bins):
 def test_ensemble_count_conserved(seed, n):
     app = Apparatus(0.0, 5.0, 6.0, 26.0, 100.0)
     hist = classical_ensemble(n, seed, app, GaussianPacket())
-    assert hist.n_total == int(hist.counts.sum()) <= n
+    assert hist.n_total == sum(hist.counts) <= n
+
+
+def _array_classical_mass(edges, z_max):
+    """classical_ensemble_mass as numpy arrays computed it."""
+    edges = np.asarray(edges, dtype=float)
+    if z_max > 0.0:
+        u = np.clip(edges, -z_max, z_max) / z_max
+        return 0.5 * np.diff(u), 0.5 * ((1.0 + u[0]) + (1.0 - u[-1]))
+    mass = np.histogram([0.0], bins=edges)[0].astype(float)
+    return mass, 1.0 - float(mass.sum())
+
+
+@given(
+    z_max=st.one_of(st.just(0.0), st.floats(min_value=1e-300, max_value=1e300)),
+    lo=st.floats(-3.0, 1.0), width=st.floats(1e-3, 4.0), bins=st.integers(1, 120),
+)
+def test_masses_equal_the_array_formula(z_max, lo, width, bins):
+    # the Python floats take the array formula's operations in its order
+    scale = z_max if z_max > 0.0 else 1.0
+    edges = np.linspace(lo * scale, (lo + width) * scale, bins + 1)
+    if not np.all(np.diff(edges) > 0):
+        return
+    masses, outside = classical_ensemble_mass(edges.tolist(), z_max)
+    want, want_outside = _array_classical_mass(edges, z_max)
+    assert masses == want.tolist() and outside == want_outside
+
+
+# ---------------------------------------------------------------------------
+# the binomial sampler behind Histogram.draw
+
+
+def _chi_square_p(sample, cdf, quantiles):
+    """p-value of the chi-square statistic of the integer sample against the
+    distribution function cdf, in cells cut at the integer quantiles of cdf;
+    a cell of probability 0 must be empty."""
+    cuts = np.unique(quantiles(np.linspace(0.0, 1.0, 21)[1:-1])).astype(np.int64)
+    probs = np.diff(np.concatenate(([0.0], cdf(cuts), [1.0])))
+    observed = np.bincount(np.searchsorted(cuts, np.array(sample, dtype=np.int64)),
+                           minlength=probs.size)
+    assert np.all(observed[probs == 0.0] == 0)
+    expected = probs * len(sample)
+    keep = expected > 0.0
+    stat = float(np.sum((observed[keep] - expected[keep]) ** 2 / expected[keep]))
+    return chi2.sf(stat, int(keep.sum()) - 1)
+
+
+def _exact(n, p):
+    return (lambda k: binom.cdf(k, n, p)), (lambda q: binom.ppf(q, n, p))
+
+
+def _poisson(n, p):
+    # Binomial(n, p) is Poisson(n*p) to about p*n*p, 1e-17 here
+    return (lambda k: poisson.cdf(k, n * p)), (lambda q: poisson.ppf(q, n * p))
+
+
+def _normal(n, p):
+    # Binomial(n, p) with a continuity correction; Berry-Esseen bounds its
+    # distance to the normal by 0.4748*(p^2 + q^2)/sqrt(n*p*q) = 1.3e-9 here
+    mean, sd = n * p, math.sqrt(n * p * (1.0 - p))
+    return (lambda k: norm.cdf((k + 0.5 - mean) / sd)), (lambda q: norm.ppf(q, mean, sd))
+
+
+@pytest.mark.parametrize("n,p,law", [
+    (50, 0.1, _exact),  # BG: n*p = 5
+    (10**6, 5e-6, _exact),  # BG at a large n
+    (10**18, 3e-18, _poisson),  # BG at n = 10**18
+    (1000, 0.4, _exact),  # BTRS
+    (10**5, 0.025, _exact),  # BTRS at n*p = 2500
+    (100, 0.95, _exact),  # the p > 1/2 mirror of BG
+    (1000, 0.7, _exact),  # the mirror of BTRS
+    (1, 0.3, _exact),  # a single trial
+    (10**18, 0.1, _normal),  # BTRS at n = 10**18
+], ids=["bg", "bg-large-n", "bg-1e18", "btrs", "btrs-2500", "bg-mirror", "btrs-mirror",
+        "n-1", "btrs-1e18"])
+def test_binomial_matches_its_pmf(n, p, law):
+    rng = random.Random(20240)
+    sample = [_binomial(rng, n, p) for _ in range(20_000)]
+    assert all(0 <= k <= n for k in sample)
+    assert _chi_square_p(sample, *law(n, p)) > 1e-3
+
+
+def test_binomial_edge_cases():
+    rng = random.Random(7)
+    for n in (0, 1, 10**18):
+        assert _binomial(rng, n, 0.0) == 0
+        assert _binomial(rng, n, 1.0) == n
+        assert _binomial(rng, 0, 0.3) == 0
+    # a success probability below the float spacing of 1 still succeeds
+    assert _binomial(rng, 2**63 - 1, 5e-324) == 0
+
+
+class _ZeroFirst(random.Random):
+    """random() gives 0.0 for its first calls, as MT19937 can."""
+
+    def __init__(self, seed, zeros):
+        super().__init__(seed)
+        self.zeros = zeros
+
+    def random(self):
+        if self.zeros:
+            self.zeros -= 1
+            return 0.0
+        return super().random()
+
+
+@pytest.mark.parametrize("n,p", [(50, 0.1), (1000, 0.4), (1000, 0.7), (10**18, 0.1)])
+def test_binomial_survives_a_zero_from_random(n, p):
+    # log(0) is a ValueError and 1/0 a ZeroDivisionError, neither of which
+    # the CLI turns into an exit code
+    for zeros in (1, 2, 3):
+        assert 0 <= _binomial(_ZeroFirst(1, zeros), n, p) <= n
+
+
+@pytest.mark.parametrize("n,p,tol", [
+    (20, 0.5, 1e-13), (10**5, 0.01, 1e-13), (10**9, 0.2, 1e-11), (10**18, 0.1, 1e-7),
+])
+def test_log_pmf_keeps_its_precision_at_any_n(n, p, tol):
+    # a difference of lgammas of order n*log(n) keeps only their absolute
+    # precision: it misses by 2e3 at n = 10**18.  There the rounding of
+    # n*p alone moves the log by 5e-8, a shift of p by 6e-17 relative.
+    sd = math.sqrt(n * p * (1.0 - p))
+    mode = math.floor((n + 1) * p)
+    for k in (mode, mode + math.ceil(3 * sd), mode - math.ceil(2 * sd), 0, 1, n - 1, n):
+        with mpmath.workdps(60):
+            q = mpmath.mpf(p)
+            want = float(mpmath.log(mpmath.binomial(n, k)) + k * mpmath.log(q)
+                         + (n - k) * mpmath.log(1 - q))
+        assert abs(_log_pmf(n, p, k) - want) <= tol * max(1.0, abs(want)), k
+
+
+def test_draw_refuses_nan_masses():
+    # an infinite mass is clipped to 1; a NaN mass is no probability
+    for masses, outside in (([0.5, math.nan], 0.0), ([0.5, 0.5], math.nan)):
+        with pytest.raises(DomainError, match="NaN"):
+            Histogram.draw(10, 1, [0.0, 1.0, 2.0], masses, outside)
+    assert Histogram.draw(10, 1, [0.0, 1.0, 2.0], [math.inf, 0.0], 0.0).counts.tolist() == [10, 0]

@@ -332,7 +332,7 @@ def test_huge_ensemble_runs_at_once(experiment, tmp_path):
 
 @pytest.mark.parametrize("experiment", ["classical", "meanfield"])
 def test_ensemble_beyond_int64_exits_domain(experiment, tmp_path, capsys):
-    # numpy draws the counts as int64
+    # the counts are int64, and past that the sampler would not draw them exactly
     code, out = run_cli([experiment, "--n", str(2**63)], tmp_path, "over")
     assert code == 4
     (line,) = capsys.readouterr().err.splitlines()
@@ -425,6 +425,17 @@ def test_out_of_memory_exits_numeric(tmp_path, capsys, monkeypatch):
     record = json.loads(line)
     assert record["error"] == "DomainError" and "745. GiB" in record["message"]
     assert os.listdir(out) == []
+
+
+@pytest.mark.parametrize("experiment", ["classical", "meanfield", "sandwich"])
+def test_too_many_bins_exit_numeric_before_any_is_built(experiment, tmp_path, capsys):
+    # the real runner: the edges are refused before the first one is built
+    out = tmp_path / "bins"
+    assert main([experiment, "--bins", "100000000000", "--out", str(out)]) == 4
+    (line,) = capsys.readouterr().err.splitlines()
+    record = json.loads(line)
+    assert record["error"] == "DomainError" and "points exceed" in record["message"]
+    assert not out.exists() or os.listdir(out) == []
 
 
 def test_argparse_rejects_unknown_subcommand(capsys):
@@ -903,21 +914,76 @@ _SCALAR_EXITS = {
 }
 
 
-def _scalar_configs(group: str) -> list[dict[str, str]]:
+# Exit of classical and meanfield, as (classical, meanfield), over every
+# single-key override of _EXTREMES, with no spin and with each of _SPINS (one
+# group of seven per value), and over two products of extremes where the kick
+# and the width overflow, in the characters of _SCALAR_EXITS.  Recorded while
+# the ensembles still ran in numpy with its overflow and invalid-operation
+# errors raised, so that their Python floats, which go to inf quietly, must
+# refuse the same configs.
+_ENSEMBLE_EXITS = {
+    "run.n": ("0000003 0000003", "0000003 0000003"),
+    "run.bins": ("0000003 0000003", "0000003 0000003"),
+    "grid.n_points": ("0000003 0000003 0000003", "0000003 0000003 0000003"),
+    "run.t": ("0000003 0000003 0000003 0000003 0000003 0000003 0000003 0000003 0000003",
+              "DDDDDD3 DDDDDD3 0000003 0000003 0000003 0000003 0000003 0000003 0000003"),
+    "apparatus.grad_Bz": ("0000003 0000003 0000003 0000003 0000003 0000003",
+                          "0000003 0000003 0000003 0000003 0000003 0000003"),
+    "apparatus.y_d": ("0000003 0000003 0000003", "0000003 0000003 0000003"),
+    "packet.sigma": ("0000003 0000003 0000003 0000003 0000003 0000003 3333333",
+                     "DDDDDD3 0000003 0000003 0000003 0000003 0000003 3333333"),
+    "packet.k_y": ("DDDDDD3 0000003 0000003 0000003 0000003 0000003 3333333",
+                   "DDDDDD3 0000003 0000003 0000003 0000003 0000003 3333333"),
+    "packet.t_prime": ("3333333 0000003 3333333", "3333333 0000003 3333333"),
+    "sandwich.layers": ("0000003 0000003 0000003 0000003 0000003 0000003 0000003 0000003",
+                        "0000003 0000003 0000003 0000003 0000003 0000003 0000003 0000003"),
+    "recombine.phase_error": ("0000003 0000003", "0000003 0000003"),
+    "recombine.gap": ("0000003 0000003 0000003 0000003", "0000003 0000003 0000003 0000003"),
+    "recombine.separated": ("0000003", "0000003"),
+    "apparatus.grad_Bz*packet.sigma*packet.k_y": (
+        "0000003 0000003 0000003 0000003 0000003 0000003 3333333 "
+        "0000003 0000003 0000003 0000003 0000003 0000003 3333333 "
+        "D000003 D000003 D000003 D000003 D000003 D000003 3333333 "
+        "D000003 D000003 D000003 D000003 D000003 D000003 3333333 "
+        "D000003 D000003 D000003 D000003 D000003 D000003 3333333 "
+        "D000003 D000003 D000003 D000003 D000003 D000003 3333333",
+        "DDDDDD3 D000003 0000003 0000003 0000003 0000003 3333333 "
+        "DDDDDD3 D000003 0000003 0000003 0000003 0000003 3333333 "
+        "DDDDDD3 D000003 D000003 D000003 D000003 D000003 3333333 "
+        "DDDDDD3 D000003 D000003 D000003 D000003 D000003 3333333 "
+        "DDDDDD3 D000003 D000003 D000003 D000003 D000003 3333333 "
+        "DDDDDD3 D000003 D000003 D000003 D000003 D000003 3333333",
+    ),
+    "apparatus.grad_Bz*packet.sigma*run.t": (
+        "000000000 000000000 000000000 000000000 000000000 000000000 333333333 "
+        "000000000 000000000 000000000 000000000 000000000 000000000 333333333 "
+        "000000000 000000000 000000000 000000000 000000000 000000000 333333333 "
+        "000000000 000000000 000000000 000000000 000000000 000000000 333333333 "
+        "000000000 000000000 000000000 000000000 000000000 000000000 333333333 "
+        "000000000 000000000 000000000 000000000 000000000 000000000 333333333",
+        "DDDDDDDDD DD000000D DD0000000 DD0000000 DD0000000 DD0000000 333333333 "
+        "DDDDDDDDD DD000000D DD0000000 DD0000000 DD0000000 DD0000000 333333333 "
+        "DDDDDDDDD DD000000D DD0000000 DD0000000 DD0000000 DD0000000 333333333 "
+        "DDDDDDDDD DD000000D DD0000000 DD0000000 DD0000000 DD0000000 333333333 "
+        "DDDDDDDDD DD000000D DD000000D DD000000D DD000000D DD000000D 333333333 "
+        "DDDDDDDDD DD000000D DD000000D DD000000D DD000000D DD000000D 333333333",
+    ),
+}
+_SCALAR = ("backtrack", "recombine")
+
+
+def _pinned_configs(group: str, spins) -> list[dict[str, str]]:
     if "*" in group:
         keys = group.split("*")
         return [dict(zip(keys, values))
                 for values in itertools.product(*(_EXTREMES[key] for key in keys))]
     spins = [{}] + [{"packet.chi_plus": plus, "packet.chi_minus": minus}
-                    for plus, minus in _SCALAR_SPINS]
+                    for plus, minus in spins]
     return [{group: value, **spin} for value in _EXTREMES[group] for spin in spins]
 
 
-@pytest.mark.parametrize("group", list(_SCALAR_EXITS))
-@pytest.mark.parametrize("experiment", cli._SCALAR)
-def test_scalar_exit_codes_are_pinned(experiment, group, tmp_path, capsys):
-    expected = _SCALAR_EXITS[group][cli._SCALAR.index(experiment)].replace(" ", "")
-    configs = _scalar_configs(group)
+def _exits_changed(experiment, configs, expected, tmp_path, capsys) -> list:
+    """The configs whose exit character differs from the expected one."""
     assert len(configs) == len(expected)
     changed = []
     for i, (overrides, want) in enumerate(zip(configs, expected)):
@@ -929,7 +995,23 @@ def test_scalar_exit_codes_are_pinned(experiment, group, tmp_path, capsys):
         got = _EXIT_CHAR.get((code, error), "?")
         if got != want:
             changed.append((overrides, want, got, lines))
-    assert changed == []
+    return changed
+
+
+@pytest.mark.parametrize("group", list(_SCALAR_EXITS))
+@pytest.mark.parametrize("experiment", _SCALAR)
+def test_scalar_exit_codes_are_pinned(experiment, group, tmp_path, capsys):
+    expected = _SCALAR_EXITS[group][_SCALAR.index(experiment)].replace(" ", "")
+    configs = _pinned_configs(group, _SCALAR_SPINS)
+    assert _exits_changed(experiment, configs, expected, tmp_path, capsys) == []
+
+
+@pytest.mark.parametrize("group", list(_ENSEMBLE_EXITS))
+@pytest.mark.parametrize("experiment", ["classical", "meanfield"])
+def test_ensemble_exit_codes_are_pinned(experiment, group, tmp_path, capsys):
+    expected = _ENSEMBLE_EXITS[group][experiment == "meanfield"].replace(" ", "")
+    configs = _pinned_configs(group, _SPINS)
+    assert _exits_changed(experiment, configs, expected, tmp_path, capsys) == []
 
 
 @pytest.mark.parametrize("argv", [

@@ -1,6 +1,7 @@
 import itertools
 import math
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -10,13 +11,15 @@ from sgsim import (
     Apparatus,
     Branch,
     GaussianPacket,
+    DomainError,
     InvalidParameterError,
     UnitSystem,
     derive_timing,
     detection_time,
     kick_velocity,
 )
-from sgsim.core import _fit_line, apparatus_schedule, flight_schedule
+from sgsim.core import _MAX_POINTS, _linspace, apparatus_schedule, flight_schedule
+from sgsim.scalar import _fit_line
 
 
 def test_branch_signs():
@@ -171,3 +174,43 @@ def test_line_fit_matches_polyfit(x0, steps, slope, intercept, noise):
     line = [slope * xi + intercept for xi in x]
     ulp = sys.float_info.epsilon * max(map(abs, line))
     assert 0.0 <= _fit_line(x, line)[2] <= len(x) * (8.0 * ulp) ** 2
+
+
+@given(
+    start=st.floats(-1e300, 1e300), width=st.floats(0.0, 1e300),
+    num=st.integers(2, 300),
+)
+def test_linspace_is_numpy_bit_for_bit(start, width, num):
+    # the ensembles' edges, which numpy drew before and the artifacts hold
+    stop = start + width
+    assert _linspace(start, stop, num) == np.linspace(start, stop, num).tolist()
+
+
+@pytest.mark.parametrize("start,stop", [(-5e-324, 5e-324), (0.0, 1e-320), (-1e-310, 1e-310)])
+def test_linspace_of_an_underflowing_step_is_numpy_bit_for_bit(start, stop):
+    assert _linspace(start, stop, 41) == np.linspace(start, stop, 41).tolist()
+
+
+def test_linspace_refuses_a_span_past_the_float_range():
+    # numpy's overflow error, which the ensembles' array runs raised
+    with pytest.raises(DomainError):
+        _linspace(-1e308, 1e308, 41)
+    with pytest.raises(DomainError):
+        _linspace(-math.inf, math.inf, 41)
+    with pytest.raises(InvalidParameterError):
+        _linspace(0.0, 1.0, 1)
+
+
+def test_linspace_refuses_too_many_points_before_building_any():
+    # a bin count past the bound would otherwise fill memory one edge at a time
+    tracemalloc.start()
+    try:
+        with pytest.raises(DomainError, match="points exceed"):
+            _linspace(-1.0, 1.0, 10**11 + 1)
+        with pytest.raises(DomainError):
+            _linspace(-1.0, 1.0, _MAX_POINTS + 1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 100_000
+    assert len(_linspace(-1.0, 1.0, 1001)) == 1001

@@ -1,7 +1,7 @@
 """The runtime is the closed form: only the CLI and the package's public
 namespace reach the grid oracle, a CLI run imports only the modules its
-experiment calls, and the scalar runs and every failed parse or validation
-import no numpy."""
+experiment calls, and the ensemble and scalar runs and every failed parse or
+validation import no numpy."""
 
 import ast
 import importlib.util
@@ -72,14 +72,15 @@ def _is_numpy_import(node: ast.AST) -> bool:
 
 
 def test_numpy_free_modules_and_cli_import_numpy_only_in_functions():
-    for name in ("core.py", "errors.py", "__init__.py"):
+    for name in ("core.py", "scalar.py", "errors.py", "__init__.py"):
         tree = ast.parse((_PACKAGE / name).read_text())
         assert not any(_is_numpy_import(node) for node in ast.walk(tree)), name
-    tree = ast.parse((_PACKAGE / "cli.py").read_text())
-    in_functions = {id(node) for function in ast.walk(tree)
-                    if isinstance(function, ast.FunctionDef) for node in ast.walk(function)}
-    imports = [node for node in ast.walk(tree) if _is_numpy_import(node)]
-    assert imports and all(id(node) in in_functions for node in imports)
+    for name in ("cli.py", "classical.py", "meanfield.py"):
+        tree = ast.parse((_PACKAGE / name).read_text())
+        in_functions = {id(node) for function in ast.walk(tree)
+                        if isinstance(function, ast.FunctionDef) for node in ast.walk(function)}
+        imports = [node for node in ast.walk(tree) if _is_numpy_import(node)]
+        assert imports and all(id(node) in in_functions for node in imports), name
 
 
 @pytest.mark.parametrize("argv,code", [
@@ -89,7 +90,10 @@ def test_numpy_free_modules_and_cli_import_numpy_only_in_functions():
     (["classical", "--bogus", "1"], 2),  # a parse error
     (["classical", "--n", "0"], 3),  # a validation error of the config
     (["recombine", "--gap", "-0.5"], 3),  # a validation error inside a scalar run
-], ids=["backtrack", "recombine", "separated", "parse", "validation", "layout"])
+    (["classical"], 0),
+    (["meanfield"], 0),
+], ids=["backtrack", "recombine", "separated", "parse", "validation", "layout", "classical",
+        "meanfield"])
 def test_scalar_runs_and_failed_configs_load_no_numpy(fresh_python, tmp_path, argv, code):
     out = fresh_python(
         "import sys, sgsim.cli\n"

@@ -20,7 +20,7 @@ from sgsim import (
     meanfield_evolve,
     spin_moment_average,
 )
-from sgsim.core import DEFAULT_UNITS
+from sgsim.core import DEFAULT_UNITS, _linspace
 from sgsim.meanfield import meanfield_ensemble_mass
 from test_classical import _rk4_oracle
 
@@ -119,7 +119,7 @@ def test_ensemble_matches_convolution_closed_form(default_apparatus, default_pac
         for lo, hi in zip(hist.edges[:-1], hist.edges[1:])
     ])
     keep = expected >= 10.0
-    stat = float(np.sum((hist.counts[keep] - expected[keep]) ** 2 / expected[keep]))
+    stat = float(np.sum((np.asarray(hist.counts)[keep] - expected[keep]) ** 2 / expected[keep]))
     dof = int(keep.sum()) - 1
     assert stat < chi2.ppf(0.99, dof)
 
@@ -127,7 +127,8 @@ def test_ensemble_matches_convolution_closed_form(default_apparatus, default_pac
 def test_ensemble_mean_zero_by_isotropy(default_apparatus, default_packet):
     n = 400_000
     hist = meanfield_ensemble(n, 21, default_packet, default_apparatus, 3.0, 80)
-    centers = 0.5 * (hist.edges[:-1] + hist.edges[1:])
+    edges = np.asarray(hist.edges)
+    centers = 0.5 * (edges[:-1] + edges[1:])
     mean = float(np.sum(centers * hist.counts) / hist.n_total)
     spread = float(
         np.sqrt(np.sum(centers**2 * hist.counts) / hist.n_total)
@@ -146,7 +147,7 @@ def test_zero_kick_gives_bare_gaussian(default_packet):
         for lo, hi in zip(hist.edges[:-1], hist.edges[1:])
     ])
     keep = expected >= 10.0
-    stat = float(np.sum((hist.counts[keep] - expected[keep]) ** 2 / expected[keep]))
+    stat = float(np.sum((np.asarray(hist.counts)[keep] - expected[keep]) ** 2 / expected[keep]))
     assert stat < chi2.ppf(0.999, int(keep.sum()) - 1)
 
 
@@ -290,9 +291,65 @@ def test_ensemble_mass_is_a_mirrored_distribution(span, sd, reach, bins, with_ze
     half = np.linspace(0.0, span + reach * sd + sd, bins + 1)[1:]
     edges = np.concatenate((-half[::-1], [0.0] if with_zero else [], half))
     masses, outside = meanfield_ensemble_mass(edges, span, sd)
-    assert np.all(masses >= 0.0) and outside >= 0.0
+    assert np.all(np.asarray(masses) >= 0.0) and outside >= 0.0
     assert np.array_equal(masses, masses[::-1])
     assert math.fsum(masses) + outside == pytest.approx(1.0, rel=0, abs=1e-13)
+
+
+def _array_meanfield_mass(edges, span, sd, exp):
+    """meanfield_ensemble_mass as numpy arrays computed it, with the
+    exponential ``exp``."""
+    erf, erfc = np.frompyfunc(math.erf, 1, 1), np.frompyfunc(math.erfc, 1, 1)
+
+    def phi(x):
+        x = np.minimum(np.abs(x), 40.0)
+        return exp(-0.5 * x * x) / math.sqrt(2.0 * math.pi)
+
+    z = np.asarray(edges, dtype=float)
+    a = np.abs(z)
+    if span <= 1e-8 * sd:
+        x = a / (sd * math.sqrt(2.0))
+        tail, core = np.asarray(erfc(x), dtype=float), np.asarray(erf(x), dtype=float)
+    else:
+        b, c = (a - span) / sd, (a + span) / sd
+
+        def g_minus(x):
+            return phi(x) - 0.5 * x * np.asarray(erfc(x / math.sqrt(2.0)), dtype=float)
+
+        def h(x):
+            return x * np.asarray(erf(x / math.sqrt(2.0)), dtype=float) + 2.0 * phi(x)
+
+        outside = (sd / span) * (g_minus(b) - g_minus(c))
+        inside = (sd / (2.0 * span)) * (h(c) - h(b))
+        tail = np.where(b > 0.0, outside, 1.0 - inside)
+        core = np.where(b > 0.0, 1.0 - outside, inside)
+    u = np.concatenate(([-np.inf], z, [np.inf]))
+    outside = np.concatenate(([0.0], tail, [0.0]))
+    inside = np.concatenate(([1.0], core, [1.0]))
+    lo, hi = u[:-1], u[1:]
+    mass = 0.5 * np.where(lo >= 0.0, outside[:-1] - outside[1:],
+                          np.where(hi <= 0.0, outside[1:] - outside[:-1], inside[:-1] + inside[1:]))
+    return mass[1:-1], float(mass[0] + mass[-1])
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    span=st.one_of(st.just(0.0), st.just(1e-9), st.floats(1e-6, 1e5)), sd=st.floats(1e-2, 1e2),
+    reach=st.floats(0.5, 40.0), bins=st.integers(1, 200),
+)
+def test_ensemble_mass_equals_the_array_formula(span, sd, reach, bins):
+    # bit for bit, once both take exp from the math module.  numpy's exp
+    # differs from it by 1 ulp at about 4% of arguments, and a bin mass that
+    # is a difference of two tails carries that rounding: up to 65 of the
+    # units of test_ensemble_mass_matches_mpmath_quadrature's bound over
+    # 4000 random configs, and 4e8 ulp on an outside mass of a span below
+    # 1e-2 sd, where the tails cancel by a factor of sd/span
+    edges = np.linspace(-(span + reach * sd), span + reach * sd, bins + 1)
+    masses, outside = meanfield_ensemble_mass(edges.tolist(), span, sd)
+    math_exp = np.frompyfunc(math.exp, 1, 1)
+    want, want_outside = _array_meanfield_mass(
+        edges, span, sd, lambda x: np.asarray(math_exp(x), dtype=float))
+    assert masses == want.tolist() and outside == want_outside
 
 
 @pytest.mark.parametrize("n", [10**3, 10**5, 10**7])
@@ -308,5 +365,15 @@ def test_ensemble_chi_square_against_quadrature(default_apparatus, default_packe
         for lo, hi in zip(hist.edges[:-1], hist.edges[1:])
     ])
     keep = expected >= 10.0
-    stat = float(np.sum((hist.counts[keep] - expected[keep]) ** 2 / expected[keep]))
+    stat = float(np.sum((np.asarray(hist.counts)[keep] - expected[keep]) ** 2 / expected[keep]))
     assert stat < chi2.ppf(0.999, int(keep.sum()) - 1)
+
+
+@pytest.mark.parametrize("t", [0.57, 3.0])  # inside the field region and after it
+def test_ensemble_edges_take_the_closed_forms_kick_and_width(default_apparatus,
+                                                             default_packet, t):
+    # the ensemble's branches sit where evolve_packet's field puts them
+    fld = evolve_packet(default_packet, default_apparatus, t)
+    span, sd = abs(fld.branch_center(Branch.PLUS)), fld.width / math.sqrt(2.0)
+    hist = meanfield_ensemble(1000, 7, default_packet, default_apparatus, t, 60)
+    assert hist.edges.tolist() == _linspace(-(span + 5.0 * sd), span + 5.0 * sd, 61)
