@@ -17,8 +17,8 @@ __version__ = "0.1.0"
 # Each submodule and the public names it defines.
 _EXPORTS = {
     "core": (
-        "Apparatus", "Branch", "DEFAULT_UNITS", "GaussianPacket", "Timing", "UnitSystem",
-        "derive_timing", "detection_time", "dispersion_factor", "kick_velocity",
+        "Apparatus", "Branch", "DEFAULT_UNITS", "GaussianPacket", "UnitSystem",
+        "detection_time", "dispersion_factor",
     ),
     "scalar": ("CollapseReport", "RecombinationResult", "backtrack_collapse", "recombine"),
     "classical": ("Histogram", "classical_ensemble", "classical_trajectory"),

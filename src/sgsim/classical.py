@@ -22,7 +22,7 @@ import math
 import operator
 import random
 from array import array
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from .core import (
     Apparatus,
@@ -30,8 +30,9 @@ from .core import (
     GaussianPacket,
     UnitSystem,
     _linspace,
+    apparatus_kicks,
     apparatus_schedule,
-    derive_timing,
+    detection_time,
     kick_integrals,
 )
 from .errors import DomainError, InvalidParameterError
@@ -286,6 +287,22 @@ def chunked_samples(n: int, seed: int, sampler):
     )
 
 
+def _detector_kick(
+    apparatus: Apparatus, packet: GaussianPacket, units: UnitSystem
+) -> tuple[float, float]:
+    """z_max = |q| and v_z = p/m of the kick integrals at the detection
+    time, the classical path of a moment +-mu_b at the detector, on a clock
+    started at emission: the kicks do not depend on t', and the rounded
+    times of a late or early emission would coarsen them.  A detection time
+    past the float range is a DomainError."""
+    if detection_time(apparatus, packet, units) == math.inf:
+        raise DomainError(f"the flight to y_d = {apparatus.y_d} outlasts the float range")
+    emitted = replace(packet, t_prime=0.0)
+    t_d = detection_time(apparatus, emitted, units)
+    p, q, _ = apparatus_kicks(apparatus, emitted, t_d, units)
+    return abs(q), p / units.mass
+
+
 def default_edges(z_max: float, bins: int) -> list[float]:
     """Equal-width bin edges over [-z_max, z_max], those of ``np.linspace``;
     [-1, 1] when z_max = 0."""
@@ -325,8 +342,10 @@ def classical_ensemble(
 
     For other edges, call ``Histogram.draw(n, seed, edges,
     *classical_ensemble_mass(edges, z_max))``; draws outside the edges are
-    not binned, so n_total may be below n.
+    not binned, so n_total may be below n.  z_max is |z| of the
+    classical path of a moment mu_b at the detection time, for any
+    emission time.
     """
-    timing = derive_timing(apparatus, packet, units)
-    edges = default_edges(timing.z_max, bins)
-    return Histogram.draw(n, seed, edges, *classical_ensemble_mass(edges, timing.z_max))
+    z_max, _ = _detector_kick(apparatus, packet, units)
+    edges = default_edges(z_max, bins)
+    return Histogram.draw(n, seed, edges, *classical_ensemble_mass(edges, z_max))

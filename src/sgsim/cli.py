@@ -37,8 +37,8 @@ from .core import (
     Branch,
     GaussianPacket,
     UnitSystem,
+    _apparatus_window,
     _require_finite,
-    derive_timing,
     detection_time,
 )
 from .errors import ConfigError, DomainError, InvalidParameterError, SgSimError
@@ -107,7 +107,7 @@ class RunConfig:
     def default_time(self) -> float:
         if self.experiment == "oracle-compare":
             return detection_time(self.apparatus, self.packet, self.units)
-        return derive_timing(self.apparatus, self.packet, self.units).t_c + 5.0
+        return _apparatus_window(self.apparatus, self.packet, self.units)[1] + 5.0
 
 
 def impulsive_defaults() -> RunConfig:
@@ -327,13 +327,13 @@ def _run_classical(cfg: RunConfig) -> _Result:
     hist = classical.classical_ensemble(
         cfg.n, cfg.seed, cfg.apparatus, cfg.packet, cfg.bins, cfg.units
     )
-    timing = derive_timing(cfg.apparatus, cfg.packet, cfg.units)
-    return f"classical: n={cfg.n} z_max={_g(timing.z_max)}", {
+    z_max, v_z = classical._detector_kick(cfg.apparatus, cfg.packet, cfg.units)
+    return f"classical: n={cfg.n} z_max={_g(z_max)}", {
         "histogram.csv": hist.to_csv_text(),
         "histogram.json": hist.to_json_text(),
         "summary.json": _json_text({"experiment": "classical", "n": cfg.n,
                                     "n_outside": cfg.n - hist.n_total, "seed": cfg.seed,
-                                    "z_max": timing.z_max, "v_z": timing.v_z}),
+                                    "z_max": z_max, "v_z": v_z}),
     }
 
 

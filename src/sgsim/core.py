@@ -1,8 +1,8 @@
-"""Unit conventions, apparatus geometry, initial packet, derived kinematics,
-the field schedule of a flight through any field layout (``flight_schedule``,
-the one way from an apparatus or layer stack to a schedule and the one place
-that refuses a layer upstream of the source), and its kick integrals, which
-say where every branch is.
+"""Unit conventions, apparatus geometry, initial packet, the flight times
+of a packet (``_flight_window``), the field schedule of a flight through any
+field layout (``flight_schedule``, the one way from an apparatus or layer
+stack to a schedule and the one place that refuses a layer upstream of the
+source), and its kick integrals, which say where every branch is.
 
 This is also the scalar layer, in Python floats without numpy: the
 dispersion factor, the closed-form branch overlap, a bin's exact mass under
@@ -98,11 +98,6 @@ class Apparatus:
         """Interaction-region length y_c - y_b."""
         return self.y_c - self.y_b
 
-    @property
-    def y_bar(self) -> float:
-        """Center of the interaction region."""
-        return 0.5 * (self.y_b + self.y_c)
-
 
 _SQRT_HALF = 1.0 / math.sqrt(2.0)
 
@@ -141,60 +136,6 @@ class GaussianPacket:
 
     def source_y(self, apparatus: Apparatus) -> float:
         return self.source[1] if self.source is not None else apparatus.y_a
-
-
-@dataclass(frozen=True)
-class Timing:
-    """Derived kinematic quantities for a packet flying through an apparatus."""
-
-    t_b: float
-    t_c: float
-    t_bar: float
-    v: float
-    v_z: float
-    z_max: float
-
-
-def derive_timing(
-    apparatus: Apparatus,
-    packet: GaussianPacket,
-    units: UnitSystem = DEFAULT_UNITS,
-) -> Timing:
-    """Straight-line flight times and the field-induced kick quantities.
-
-    v = hbar k_y / m; entry/exit times are the apparatus's flight window, as
-    ``flight_schedule`` takes it; v_z is the impulsive kick speed and
-    z_max = |v_z| * (y_d - y_bar) / v the maximal classical deflection at
-    the detector.
-    """
-    v = units.hbar * packet.k_y / units.mass
-    y0 = packet.source_y(apparatus)
-    t_b, t_c = _flight_window(packet, y0, apparatus.y_b, apparatus.y_c, units)
-    v_z = kick_velocity(apparatus, packet, units)
-    z_max = abs(v_z) * ((apparatus.y_d - apparatus.y_bar) / v)
-    return Timing(t_b=t_b, t_c=t_c, t_bar=0.5 * (t_b + t_c), v=v, v_z=v_z, z_max=z_max)
-
-
-def kick_velocity(
-    apparatus: Apparatus,
-    packet: GaussianPacket,
-    units: UnitSystem = DEFAULT_UNITS,
-) -> float:
-    """Post-interaction z speed v_z = (dy / p_y) * mu_b * dBz/dz."""
-    p_y = units.hbar * packet.k_y
-    if p_y == 0:
-        raise DomainError("kick velocity undefined for zero beam momentum")
-    return apparatus.dy * units.mu_b * apparatus.grad_Bz / p_y
-
-
-def detection_time(
-    apparatus: Apparatus,
-    packet: GaussianPacket,
-    units: UnitSystem = DEFAULT_UNITS,
-) -> float:
-    """Arrival time of the packet center at the detector plane y_d."""
-    timing = derive_timing(apparatus, packet, units)
-    return packet.t_prime + (apparatus.y_d - packet.source_y(apparatus)) / timing.v
 
 
 def field_schedule(
@@ -246,6 +187,30 @@ def flight_schedule(
     each on while the packet center is inside it."""
     windows = [(*_flight_window(packet, y_source, y0, y1, units), g) for y0, y1, g in layers]
     return field_schedule(packet.t_prime, t_final, windows)
+
+
+def _apparatus_window(
+    apparatus: Apparatus,
+    packet: GaussianPacket,
+    units: UnitSystem = DEFAULT_UNITS,
+) -> tuple[float, float]:
+    """The flight window (t_b, t_c) of the apparatus's field region, from
+    y_b to y_c; a source past y_b, or a region crossed in no time, is
+    refused."""
+    return _flight_window(packet, packet.source_y(apparatus), apparatus.y_b, apparatus.y_c,
+                          units)
+
+
+def detection_time(
+    apparatus: Apparatus,
+    packet: GaussianPacket,
+    units: UnitSystem = DEFAULT_UNITS,
+) -> float:
+    """Arrival time of the packet center at the detector plane y_d, for a
+    flight the apparatus's window admits."""
+    _apparatus_window(apparatus, packet, units)
+    return _flight_window(packet, packet.source_y(apparatus), apparatus.y_b, apparatus.y_d,
+                          units)[1]
 
 
 def apparatus_schedule(

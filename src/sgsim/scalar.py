@@ -16,15 +16,15 @@ from .core import (
     DEFAULT_UNITS,
     GaussianPacket,
     UnitSystem,
+    _apparatus_window,
+    _flight_window,
     _require_finite,
     apparatus_kicks,
     apparatus_schedule,
     branch_overlap,
-    derive_timing,
     detection_time,
     dispersion_factor,
     kick_integrals,
-    kick_velocity,
 )
 from .errors import DomainError, InvalidParameterError, NoSplitError
 
@@ -89,12 +89,12 @@ def backtrack_collapse(
     as many as the times (``InvalidParameterError``); a fit or result past
     the float range is a ``DomainError``.
     """
-    timing = derive_timing(apparatus, packet, units)
+    _, t_c = _apparatus_window(apparatus, packet, units)
     if apparatus.grad_Bz == 0:
         raise NoSplitError("zero field gradient: branch paths are parallel")
     t_d = detection_time(apparatus, packet, units)
     if times is None:
-        times = [timing.t_c + u * (t_d - timing.t_c) for u in _STATIONS]
+        times = [t_c + u * (t_d - t_c) for u in _STATIONS]
     else:
         times = [float(t) for t in times]
         _require_finite("sampling times", *times)
@@ -102,7 +102,7 @@ def backtrack_collapse(
             raise InvalidParameterError("need at least 2 distinct sampling times for the fit")
     if len(times) < 3:
         raise InvalidParameterError("need at least 3 sampling times for the fit")
-    if any(t < timing.t_c for t in times):
+    if any(t < t_c for t in times):
         raise DomainError("sampling times must be post-interaction (t >= t_c)")
     if centroids is None:
         schedule = apparatus_schedule(apparatus, packet, max(times), units)
@@ -114,7 +114,8 @@ def backtrack_collapse(
         if not len(z_plus) == len(z_minus) == len(times):
             raise InvalidParameterError("each centroid sequence must match the times in length")
         _require_finite("centroids", *z_plus, *z_minus)
-    y = [packet.source_y(apparatus) + timing.v * (t - packet.t_prime) for t in times]
+    v = units.hbar * packet.k_y / units.mass
+    y = [packet.source_y(apparatus) + v * (t - packet.t_prime) for t in times]
 
     try:
         fits = [_fit_line(y, z) for z in (z_plus, z_minus)]
@@ -174,20 +175,22 @@ def recombine(
     which is (1 + O*cos(delta))/2 for a real overlap magnitude O and a +x
     input spin.
     """
-    timing1 = derive_timing(stage1, packet, units)
-    v_z1 = timing1.v_z
-    if v_z1 == 0.0:
+    _, t_c1 = _apparatus_window(stage1, packet, units)
+    if apparatus_kicks(stage1, packet, t_c1, units)[0] == 0.0:
         raise NoSplitError("stage 1 has zero gradient; nothing to recombine")
     if stage2 is not None:
         if stage2.y_b < stage1.y_c:
             raise InvalidParameterError("stage 2 must start after stage 1 ends")
-        v_z2 = kick_velocity(stage2, packet, units)
-        if not math.isclose(v_z2, -v_z1, rel_tol=1e-9):
+        # Equal and opposite field integrals grad*dy give equal and opposite
+        # kicks.  The kicks themselves are differences of flight times, which
+        # a late emission or a far-off field rounds past this tolerance.
+        g1, g2 = stage1.grad_Bz * stage1.dy, stage2.grad_Bz * stage2.dy
+        if not math.isclose(g2, -g1, rel_tol=1e-9):
             raise InvalidParameterError(
-                f"stage 2 must reverse stage 1's kick: v_z1 = {v_z1}, v_z2 = {v_z2}"
+                f"stage 2 must reverse stage 1's kick: grad*dy = {g1} and {g2}"
             )
         y0 = packet.source_y(stage1)
-        t_eval = packet.t_prime + (stage2.y_d - y0) / timing1.v
+        t_eval = _flight_window(packet, y0, stage1.y_b, stage2.y_d, units)[1]
         # A perfect reversal rejoins the branches: both end at the common
         # centroid with zero relative velocity (no net kick), so only
         # phase_error can degrade the overlap.

@@ -7,7 +7,8 @@ artifact's byte count and SHA-256.
 The table records the Python version it was taken with: the ensembles draw
 from Python's ``random`` and take ``math.erf``, ``erfc`` and ``exp``, so
 another version may give other bytes.  A change to an entry is a change to
-an artifact, to be named with its reason in CHANGES.md.
+an artifact, to be named with its reason in CHANGES.md: before it writes the
+new table, the script prints each run whose entry moved and what in it moved.
 """
 
 from __future__ import annotations
@@ -45,9 +46,33 @@ def golden_runs(work: str) -> dict:
     return runs
 
 
+def moved(old: dict, new: dict) -> list[str]:
+    """One line per run whose entry differs between the run tables old and
+    new, naming its changed exit, stdout and artifacts."""
+    lines = []
+    for experiment in sorted(old.keys() | new.keys()):
+        was, now = old.get(experiment), new.get(experiment)
+        if was == now:
+            continue
+        if was is None or now is None:
+            lines.append(f"{experiment}: {'added' if was is None else 'removed'}")
+            continue
+        parts = [key for key in ("exit", "stdout") if was[key] != now[key]]
+        names = sorted(was["artifacts"].keys() | now["artifacts"].keys())
+        parts += [name for name in names
+                  if was["artifacts"].get(name) != now["artifacts"].get(name)]
+        lines.append(f"{experiment}: {', '.join(parts)}")
+    return lines
+
+
 def main() -> int:
     with tempfile.TemporaryDirectory() as work:
         table = {"python": platform.python_version(), "runs": golden_runs(work)}
+    old = json.loads(GOLDEN.read_text()) if GOLDEN.exists() else {"runs": {}}
+    if old.get("python") != table["python"]:
+        print(f"python: {old.get('python')} -> {table['python']}")
+    for line in moved(old["runs"], table["runs"]):
+        print(line)
     GOLDEN.write_text(json.dumps(table, indent=2, sort_keys=True) + "\n")
     return 0
 

@@ -4,7 +4,8 @@ The three-segment z action, the free kernel and the spin-branch kernel are
 the impulsive-kick derivation of the paper.  ``sgsim.analytic`` no longer
 uses them: its closed form is exact on any field schedule.  The tests
 compose these kernels with the initial packet as an independent check of
-that form after the field region.
+that form after the field region.  ``hand_kinematics`` gives the kinematics
+of that derivation by hand, a reference for the kick integrals.
 
 The kernel omits two phase factors that the closed form keeps, both common
 to the two spin branches: exp(-i*m*v_z^2*(t - tbar)*(tbar - t')/(2*hbar*(t - t'))),
@@ -19,8 +20,41 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from sgsim.core import Branch, DEFAULT_UNITS, UnitSystem
+from sgsim.core import Apparatus, Branch, DEFAULT_UNITS, GaussianPacket, UnitSystem
 from sgsim.errors import DomainError
+
+
+@dataclass(frozen=True)
+class HandKinematics:
+    """Hand kinematics of an impulsive kick: the beam speed v, the time
+    t_bar and place y_bar of the middle of the field region, the kick speed
+    v_z of the s = +1 branch and its deflection z_max at the detector."""
+
+    v: float
+    t_bar: float
+    y_bar: float
+    v_z: float
+    z_max: float
+
+    def center(self, t):
+        """Center v_z*(t - t_bar) of the s = +1 branch at a time t past the
+        field region."""
+        return self.v_z * (t - self.t_bar)
+
+
+def hand_kinematics(
+    apparatus: Apparatus, packet: GaussianPacket, units: UnitSystem = DEFAULT_UNITS
+) -> HandKinematics:
+    """v = hbar*k_y/m, t_bar halfway between the times t' + (y - y0)/v at
+    y_b and y_c, v_z = dy*mu_b*dBz/dz/(hbar*k_y) and z_max = |v_z|*(y_d -
+    y_bar)/v, with no kick integral."""
+    v = units.hbar * packet.k_y / units.mass
+    y0 = packet.source_y(apparatus)
+    t_b, t_c = (packet.t_prime + (y - y0) / v for y in (apparatus.y_b, apparatus.y_c))
+    y_bar = 0.5 * (apparatus.y_b + apparatus.y_c)
+    v_z = apparatus.dy * units.mu_b * apparatus.grad_Bz / (units.hbar * packet.k_y)
+    return HandKinematics(v=v, t_bar=0.5 * (t_b + t_c), y_bar=y_bar, v_z=v_z,
+                          z_max=abs(v_z) * ((apparatus.y_d - y_bar) / v))
 
 
 @dataclass(frozen=True)

@@ -27,7 +27,6 @@ from sgsim import (
     coherence_norm,
     compare_analytic_oracle,
     density_sweep,
-    derive_timing,
     detect_bimodality,
     detection_time,
     dispersion_factor,
@@ -38,7 +37,8 @@ from sgsim import (
     recombine,
     sandwich,
 )
-from sgsim.core import field_schedule
+from path_integral import hand_kinematics
+from sgsim.core import _apparatus_window, field_schedule
 
 APP = Apparatus(0.0, 5.0, 6.0, 26.0, 100.0)
 PACKET = GaussianPacket()
@@ -66,11 +66,10 @@ def test_acceptance_1_classical_flatness():
 
 
 def test_acceptance_2_two_humped_quantization():
-    timing = derive_timing(APP, PACKET)
-    t = timing.t_c + 5.0
+    t = _apparatus_window(APP, PACKET)[1] + 5.0
     start = time.time()
     field = evolve_packet(PACKET, APP, t)
-    expected = timing.v_z * (t - timing.t_bar)
+    expected = hand_kinematics(APP, PACKET).center(t)
     z = np.linspace(-1.5 * expected, 1.5 * expected, 4096)
     cell = z[1] - z[0]
     rep = detect_bimodality(field.z_marginal_density(z), z)
@@ -121,20 +120,20 @@ def test_acceptance_4_trace_identity():
 
 
 def test_acceptance_5_coherence_decay():
-    timing = derive_timing(APP, PACKET)
+    hand = hand_kinematics(APP, PACKET)
     weight = abs(PACKET.chi_plus * PACKET.chi_minus)
 
     def time_at(s):
         return brentq(
-            lambda t: timing.v_z * (t - timing.t_bar)
+            lambda t: hand.center(t)
             - s * PACKET.sigma * abs(dispersion_factor(t, PACKET.sigma)),
-            timing.t_c, 1e4,
+            _apparatus_window(APP, PACKET)[1], 1e4,
         )
 
     values = [coherence_norm(evolve_packet(PACKET, APP, time_at(s))) for s in (1, 2, 4, 8)]
     # s = 0 needs the impulsive limit: vanishing region, evaluated at exit
     tiny = Apparatus(0.0, 4.9995, 5.0005, 26.0, 10.0)
-    v0 = coherence_norm(evolve_packet(PACKET, tiny, derive_timing(tiny, PACKET).t_c))
+    v0 = coherence_norm(evolve_packet(PACKET, tiny, _apparatus_window(tiny, PACKET)[1]))
     seq = [v0] + values
     ok = (
         all(a > b for a, b in zip(seq, seq[1:]))
@@ -151,17 +150,17 @@ def test_acceptance_6_meanfield_classical_recovery():
     # choose t so the branch span v_z*(t - tbar) is 20 final widths; the
     # asymptotic ratio is v_z*m*sigma/hbar, so this needs a kick above 20
     app = Apparatus(0.0, 5.0, 6.0, 26.0, 300.0)  # v_z = 30
-    timing = derive_timing(app, PACKET)
+    hand = hand_kinematics(app, PACKET)
     t = brentq(
-        lambda tt: timing.v_z * (tt - timing.t_bar)
+        lambda tt: hand.center(tt)
         - 20.0 * PACKET.sigma * abs(dispersion_factor(tt, PACKET.sigma)),
-        timing.t_c, 1e4,
+        _apparatus_window(app, PACKET)[1], 1e4,
     )
     n, bins = 1_000_000, 60
     start = time.time()
     hist = meanfield_ensemble(n, 42, PACKET, app, t, bins)
     elapsed = time.time() - start
-    span = timing.v_z * (t - timing.t_bar)
+    span = hand.center(t)
     sd = PACKET.sigma * abs(dispersion_factor(t, PACKET.sigma)) / math.sqrt(2.0)
     expected = np.array([
         quad(lambda z: meanfield_ensemble_density(z, span, sd), lo, hi)[0] * n
@@ -180,7 +179,7 @@ def test_acceptance_6_meanfield_classical_recovery():
 
 def test_acceptance_7_collapse_location():
     rep = backtrack_collapse(PACKET, APP)
-    err = abs(rep.y_collapse - APP.y_bar)
+    err = abs(rep.y_collapse - hand_kinematics(APP, PACKET).y_bar)
     ok = err < 1e-6 * APP.dy
     assert _report(7, "collapse location", ok, f"|y_collapse - y_bar| = {err:.2e}")
 
@@ -262,11 +261,11 @@ def test_split_thresholds_are_pinned_bit_for_bit():
 
 
 def test_acceptance_10_numerics_hygiene():
-    timing = derive_timing(APP, PACKET)
+    t_b, t_c = _apparatus_window(APP, PACKET)
     # (a) per-step norm conservation
     grid = Grid1D(-40.0, 40.0, 1024)
     state = GridState.from_packet(PACKET, grid)
-    field = [(timing.t_b, timing.t_c, APP.grad_Bz)]
+    field = [(t_b, t_c, APP.grad_Bz)]
     max_drift = 0.0
     prev = state.norm()
     for _ in range(50):
@@ -279,10 +278,10 @@ def test_acceptance_10_numerics_hygiene():
     # the uncut result, both components and their phase, to rounding
     cgrid = Grid1D(-40.0, 40.0, 2048)
     base = GridState.from_packet(PACKET, cgrid)
-    cuts = np.linspace(timing.t_b, timing.t_c, 17)
+    cuts = np.linspace(t_b, t_c, 17)
     whole, sliced = (
-        propagate(base, [(0.0, timing.t_b, 0.0), *segments])
-        for segments in ([(timing.t_b, timing.t_c, APP.grad_Bz)],
+        propagate(base, [(0.0, t_b, 0.0), *segments])
+        for segments in ([(t_b, t_c, APP.grad_Bz)],
                          [(a, b, APP.grad_Bz) for a, b in zip(cuts[:-1], cuts[1:])])
     )
     slicing = math.sqrt(cgrid.dz * float(
@@ -292,11 +291,11 @@ def test_acceptance_10_numerics_hygiene():
     # (c) 3-D normalization over a t sweep; the closed form factorizes, so the
     # 3-D trapezoid of the product grid is the product of 1-D trapezoids
     worst_norm = 0.0
-    for t in np.linspace(timing.t_c + 0.1, timing.t_c + 12.0, 10):
+    for t in np.linspace(t_c + 0.1, t_c + 12.0, 10):
         field = evolve_packet(PACKET, APP, t)
         w = field.width
         x = np.linspace(-8 * w, 8 * w, 2001)
-        y0 = PACKET.source_y(APP) + timing.v * field.tau
+        y0 = PACKET.source_y(APP) + hand_kinematics(APP, PACKET).v * field.tau
         y = np.linspace(y0 - 8 * w, y0 + 8 * w, 2001)
         reach = abs(field.branch_center(Branch.MINUS)) + 8 * w
         z = np.linspace(-reach, reach, 8001)

@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 from scipy.integrate import quad
 from scipy.optimize import brentq, curve_fit
 
-from path_integral import ZKernelParams, free_kernel, sg_kernel, z_action
+from path_integral import ZKernelParams, free_kernel, hand_kinematics, sg_kernel, z_action
 from sgsim import (
     Branch,
     DomainError,
@@ -16,14 +16,13 @@ from sgsim import (
     Grid1D,
     GridState,
     InvalidParameterError,
-    derive_timing,
     dispersion_factor,
     evolve_packet,
     propagate,
     suggest_grid,
 )
 from sgsim.analytic import SpinorField, kick_integrals
-from sgsim.core import DEFAULT_UNITS, field_schedule
+from sgsim.core import DEFAULT_UNITS, _apparatus_window, field_schedule
 
 
 # ---------------------------------------------------------------------------
@@ -152,23 +151,23 @@ def test_kernel_propagates_packet_to_closed_form(
     default_apparatus, default_packet
 ):
     """Quadrature of kernel x initial Gaussian reproduces the z marginal."""
-    timing = derive_timing(default_apparatus, default_packet)
-    t = timing.t_c + 2.0
+    hand = hand_kinematics(default_apparatus, default_packet)
+    t = _apparatus_window(default_apparatus, default_packet)[1] + 2.0
     field = evolve_packet(default_packet, default_apparatus, t)
     sigma = default_packet.sigma
     zp = np.linspace(-10 * sigma, 10 * sigma, 20_001)
     psi0 = (math.pi * sigma**2) ** -0.25 * np.exp(-zp * zp / (2 * sigma**2))
     # the kernel omits two phases common to both branches (see path_integral)
     m, hbar = DEFAULT_UNITS.mass, DEFAULT_UNITS.hbar
-    omitted = cmath.exp(1j * m * timing.v_z ** 2 / (2.0 * hbar) * (
-        default_apparatus.dy / timing.v / 6.0
-        - (t - timing.t_bar) * (timing.t_bar - default_packet.t_prime)
+    omitted = cmath.exp(1j * m * hand.v_z ** 2 / (2.0 * hbar) * (
+        default_apparatus.dy / hand.v / 6.0
+        - (t - hand.t_bar) * (hand.t_bar - default_packet.t_prime)
         / (t - default_packet.t_prime)
     ))
     for branch in Branch:
         params = ZKernelParams(
-            t=t, t_prime=default_packet.t_prime, t_bar=timing.t_bar,
-            v_z=timing.v_z, branch=branch,
+            t=t, t_prime=default_packet.t_prime, t_bar=hand.t_bar,
+            v_z=hand.v_z, branch=branch,
         )
         z_eval = np.linspace(field.branch_center(branch) - 3, field.branch_center(branch) + 3, 7)
         for z in z_eval:
@@ -227,13 +226,13 @@ def test_pure_spin_up_single_hump(default_apparatus):
 
 def test_midpoint_suppression_at_six_widths(default_apparatus, default_packet):
     # find t where the branch centers sit 6 sigma|f| from the origin
-    timing = derive_timing(default_apparatus, default_packet)
+    hand = hand_kinematics(default_apparatus, default_packet)
 
     def gap(t):
         f = dispersion_factor(t - default_packet.t_prime, default_packet.sigma)
-        return timing.v_z * (t - timing.t_bar) - 6.0 * default_packet.sigma * abs(f)
+        return hand.center(t) - 6.0 * default_packet.sigma * abs(f)
 
-    t6 = brentq(gap, timing.t_c, 100.0)
+    t6 = brentq(gap, _apparatus_window(default_apparatus, default_packet)[1], 100.0)
     field = evolve_packet(default_packet, default_apparatus, t6)
     center = field.branch_center(Branch.MINUS)
     ratio = field.z_marginal_density(0.0) / field.z_marginal_density(center)

@@ -17,9 +17,10 @@ from sgsim import (
     InvalidParameterError,
     classical_ensemble,
     classical_trajectory,
-    derive_timing,
     meanfield_ensemble,
 )
+from path_integral import hand_kinematics
+from sgsim.core import _apparatus_window
 from sgsim.classical import _binomial, _log_pmf, classical_ensemble_mass, default_edges
 
 
@@ -29,13 +30,13 @@ def _rk4_oracle(mu_z, apparatus, packet, t, n_steps=4000):
     Steps are aligned with the field switch times, so the discontinuous force
     never straddles a step.
     """
-    timing = derive_timing(apparatus, packet)
-    cuts = sorted({packet.t_prime, timing.t_b, timing.t_c, t})
+    t_b, t_c = _apparatus_window(apparatus, packet)
+    cuts = sorted({packet.t_prime, t_b, t_c, t})
     cuts = [c for c in cuts if packet.t_prime <= c <= t]
     z, p = 0.0, 0.0
     for t0, t1 in zip(cuts[:-1], cuts[1:]):
         mid = 0.5 * (t0 + t1)
-        force = mu_z * apparatus.grad_Bz if timing.t_b <= mid < timing.t_c else 0.0
+        force = mu_z * apparatus.grad_Bz if t_b <= mid < t_c else 0.0
         h = (t1 - t0) / n_steps
         for _ in range(n_steps):
             # rhs: dz/dt = p/m, dp/dt = force (constant within the segment)
@@ -58,8 +59,7 @@ def test_trajectory_matches_rk4(default_apparatus, default_packet, mu_z, t):
 
 
 def test_trajectory_continuity_at_switches(default_apparatus, default_packet):
-    timing = derive_timing(default_apparatus, default_packet)
-    for t_switch in (timing.t_b, timing.t_c):
+    for t_switch in _apparatus_window(default_apparatus, default_packet):
         eps = 1e-12
         before = classical_trajectory(0.5, default_apparatus, default_packet, t_switch - eps)
         at = classical_trajectory(0.5, default_apparatus, default_packet, t_switch)
@@ -71,10 +71,10 @@ def test_trajectory_continuity_at_switches(default_apparatus, default_packet):
 def test_region_displacement_second_order(default_apparatus, default_packet):
     # starting from p_z = 0, the z change across the region is exactly
     # (mu_z / 2m) * B' * dt^2
-    timing = derive_timing(default_apparatus, default_packet)
+    _, t_c = _apparatus_window(default_apparatus, default_packet)
     mu_z = 0.8
-    at_exit = classical_trajectory(mu_z, default_apparatus, default_packet, timing.t_c)
-    dt = default_apparatus.dy / timing.v
+    at_exit = classical_trajectory(mu_z, default_apparatus, default_packet, t_c)
+    dt = default_apparatus.dy / hand_kinematics(default_apparatus, default_packet).v
     expected = 0.5 * mu_z * default_apparatus.grad_Bz * dt**2
     assert at_exit.z == pytest.approx(expected, rel=1e-14)
 
@@ -96,13 +96,13 @@ def test_ensemble_flat_interior(default_apparatus, default_packet):
 
 
 def test_ensemble_support(default_apparatus, default_packet):
-    timing = derive_timing(default_apparatus, default_packet)
-    wide = np.linspace(-2 * timing.z_max, 2 * timing.z_max, 81)
-    hist = Histogram.draw(50_000, 3, wide, *classical_ensemble_mass(wide, timing.z_max))
+    z_max = hand_kinematics(default_apparatus, default_packet).z_max
+    wide = np.linspace(-2 * z_max, 2 * z_max, 81)
+    hist = Histogram.draw(50_000, 3, wide, *classical_ensemble_mass(wide, z_max))
     edges = np.asarray(hist.edges)
     centers = 0.5 * (edges[:-1] + edges[1:])
     occupied = centers[np.asarray(hist.counts) > 0]
-    assert np.all(np.abs(occupied) <= timing.z_max + hist.widths[0])
+    assert np.all(np.abs(occupied) <= z_max + hist.widths[0])
 
 
 def test_zero_gradient_all_in_central_bin(default_packet):
@@ -147,7 +147,7 @@ def test_draw_gives_no_draw_to_a_massless_category(default_apparatus, default_pa
     # lost 347 and 1666 draws to it at 33 and 97 bins)
     n = 10**18
     if bins == "wide":
-        z_max = derive_timing(default_apparatus, default_packet).z_max
+        z_max = hand_kinematics(default_apparatus, default_packet).z_max
         edges = z_max * np.array([-3.0, -1.0, -0.3, 0.5, 1.0, 3.0])
         hist = Histogram.draw(n, 5, edges, *classical_ensemble_mass(edges, z_max))
     else:

@@ -466,7 +466,21 @@ def test_csv_floats_have_full_precision(tmp_path):
     _, out = run_cli(["classical", "--n", "1000"], tmp_path, "p")
     row = (out / "histogram.csv").read_text().splitlines()[1]
     lo = row.split(",")[0]
-    assert float(lo) == -20.5  # parses back exactly
+    z_max = json.loads((out / "summary.json").read_text())["z_max"]
+    assert float(lo) == -z_max  # parses back exactly, all 17 digits
+
+
+@pytest.mark.parametrize("t_prime", ["-1e15", "1e8", "1e12", "1e15"])
+def test_classical_kicks_ignore_emission_time(tmp_path, t_prime):
+    # the deflection is the same physics at any emission time: the
+    # summary and histogram equal those of an emission at t' = 0
+    cfg_path = tmp_path / "late.cfg"
+    cfg_path.write_text(f"packet.t_prime = {t_prime}\n")
+    code, late = run_cli(["classical", "--config", str(cfg_path), "--n", "1000"], tmp_path,
+                         "late")
+    assert code == 0
+    assert run_cli(["classical", "--n", "1000"], tmp_path, "zero")[0] == 0
+    assert read_bytes_tree(late) == read_bytes_tree(tmp_path / "zero")
 
 
 def test_cli_bounds_exit_validation(tmp_path, capsys):
@@ -868,15 +882,15 @@ def test_extreme_ensemble_configs_run(experiment, overrides, tmp_path, capsys):
 
 # Exit of backtrack and recombine, as (backtrack, recombine), over every
 # single-key override of _EXTREMES, with no spin and with each of
-# _SCALAR_SPINS (one group of four per value), and over two products of
+# _SCALAR_SPINS (one group of four per value), and over three products of
 # extremes, the last key varying fastest.  Each character is one config: 0
-# (exit 0), 3 (InvalidParameterError, exit 3), D (DomainError, exit 4) or N
-# (NoSplitError, exit 4).  The property above accepts exit 4 for any config,
-# so a change that runs a config that failed, or fails one that ran, fails
-# only here.
+# (exit 0), 3 (InvalidParameterError, exit 3), D (DomainError, exit 4), N
+# (NoSplitError, exit 4) or E (ExtentError, exit 4).  The property above
+# accepts exit 4 for any config, so a change that runs a config that failed,
+# or fails one that ran, fails only here.
 _SCALAR_SPINS = [("1+0j", "0+0j"), ("0.6+0j", "0+0.8j"), ("1e-200+0j", "1+0j")]
 _EXIT_CHAR = {(0, None): "0", (3, "InvalidParameterError"): "3", (4, "DomainError"): "D",
-              (4, "NoSplitError"): "N"}
+              (4, "NoSplitError"): "N", (4, "ExtentError"): "E"}
 _SCALAR_EXITS = {
     "run.n": ("0000 0000", "0000 0000"),
     "run.bins": ("0000 0000", "0000 0000"),
@@ -911,16 +925,19 @@ _SCALAR_EXITS = {
         "N0000D N0000D N0000D N0000D N0000D N0000D N0000D N0000D",
         "N000DD N000DD N000DD N000DD N000DD N000DD 333333 333333",
     ),
+    "apparatus.y_d*packet.k_y": ("D000NN3 D000NN3 DDDDDD3", "D000003 D000003 3D00003"),
 }
 
 
 # Exit of classical and meanfield, as (classical, meanfield), over every
 # single-key override of _EXTREMES, with no spin and with each of _SPINS (one
-# group of seven per value), and over two products of extremes where the kick
-# and the width overflow, in the characters of _SCALAR_EXITS.  Recorded while
-# the ensembles still ran in numpy with its overflow and invalid-operation
-# errors raised, so that their Python floats, which go to inf quietly, must
-# refuse the same configs.
+# group of seven per value), and over three products of extremes where the
+# kick, the width and the flight time overflow, in the characters of
+# _SCALAR_EXITS.  All but the last product were recorded while the ensembles
+# still ran in numpy with its overflow and invalid-operation errors raised,
+# so that their Python floats, which go to inf quietly, must refuse the same
+# configs; the last was recorded while classical's z_max still came from the
+# impulsive formula, so that the kick integrals must refuse the same configs.
 _ENSEMBLE_EXITS = {
     "run.n": ("0000003 0000003", "0000003 0000003"),
     "run.bins": ("0000003 0000003", "0000003 0000003"),
@@ -968,8 +985,32 @@ _ENSEMBLE_EXITS = {
         "DDDDDDDDD DD000000D DD000000D DD000000D DD000000D DD000000D 333333333 "
         "DDDDDDDDD DD000000D DD000000D DD000000D DD000000D DD000000D 333333333",
     ),
+    "apparatus.y_d*packet.k_y": ("D000003 D000003 DD00003", "D000003 D000003 D000003"),
 }
 _SCALAR = ("backtrack", "recombine")
+
+
+# Exit of the array runs, as (evolve, density, oracle-compare, sandwich), over
+# _SMALL and every single-key override of _EXTREMES for the kick, the
+# geometry, the packet and the time, with no spin and with each of
+# _SCALAR_SPINS (one group of four per value), in the characters of
+# _SCALAR_EXITS.  Each run without run.t takes its time from
+# RunConfig.default_time.
+_ARRAY = ("evolve", "density", "oracle-compare", "sandwich")
+_ARRAY_EXITS = {
+    "apparatus.grad_Bz": ("0000 0000 0000 EEEE DDDD DDDD", "0000 0000 0000 0000 DDDD DDDD",
+                          "0000 0000 0000 EEEE DDDD DDDD", "0000 0000 0000 0000 0000 0000"),
+    "apparatus.y_d": ("0000 0000 0000", "0000 0000 0000", "0000 EEEE DDDD", "0000 0000 0000"),
+    "packet.sigma": ("DDDD 0000 0000 0000 0000 DDDD 3333", "DDDD 0000 0000 0000 0000 DDDD 3333",
+                     "DDDD EEEE EEEE 0000 EEEE DDDD 3333", "DDDD 0000 0000 0000 0000 DDDD 3333"),
+    "packet.k_y": ("DDDD 0000 0000 0000 DDDD DDDD 3333", "DDDD 0000 0000 0000 0000 0000 3333",
+                   "DDDD EEEE EEEE 0000 0000 0000 3333", "DDDD 0000 0000 0000 0000 0000 3333"),
+    "packet.t_prime": ("3333 0000 3333", "3333 0000 3333", "3333 0000 3333", "3333 0000 3333"),
+    "run.t": ("DDDD DDDD 0000 0000 0000 0000 0000 0000 DDDD",
+              "DDDD DDDD 0000 0000 0000 0000 0000 0000 DDDD",
+              "DDDD DDDD 0000 0000 0000 0000 EEEE EEEE DDDD",
+              "DDDD DDDD 0000 0000 0000 0000 0000 0000 DDDD"),
+}
 
 
 def _pinned_configs(group: str, spins) -> list[dict[str, str]]:
@@ -982,13 +1023,14 @@ def _pinned_configs(group: str, spins) -> list[dict[str, str]]:
     return [{group: value, **spin} for value in _EXTREMES[group] for spin in spins]
 
 
-def _exits_changed(experiment, configs, expected, tmp_path, capsys) -> list:
-    """The configs whose exit character differs from the expected one."""
+def _exits_changed(experiment, configs, expected, tmp_path, capsys, prefix="") -> list:
+    """The configs, each after the config text ``prefix``, whose exit
+    character differs from the expected one."""
     assert len(configs) == len(expected)
     changed = []
     for i, (overrides, want) in enumerate(zip(configs, expected)):
         cfg_path = tmp_path / f"{i}.cfg"
-        cfg_path.write_text("".join(f"{k} = {v}\n" for k, v in overrides.items()))
+        cfg_path.write_text(prefix + "".join(f"{k} = {v}\n" for k, v in overrides.items()))
         code = main([experiment, "--config", str(cfg_path), "--out", str(tmp_path / f"o{i}")])
         lines = capsys.readouterr().err.splitlines()
         error = json.loads(lines[0])["error"] if len(lines) == 1 else None
@@ -1012,6 +1054,14 @@ def test_ensemble_exit_codes_are_pinned(experiment, group, tmp_path, capsys):
     expected = _ENSEMBLE_EXITS[group][experiment == "meanfield"].replace(" ", "")
     configs = _pinned_configs(group, _SPINS)
     assert _exits_changed(experiment, configs, expected, tmp_path, capsys) == []
+
+
+@pytest.mark.parametrize("group", list(_ARRAY_EXITS))
+@pytest.mark.parametrize("experiment", _ARRAY)
+def test_array_exit_codes_are_pinned(experiment, group, tmp_path, capsys):
+    expected = _ARRAY_EXITS[group][_ARRAY.index(experiment)].replace(" ", "")
+    configs = _pinned_configs(group, _SCALAR_SPINS)
+    assert _exits_changed(experiment, configs, expected, tmp_path, capsys, _SMALL) == []
 
 
 @pytest.mark.parametrize("argv", [

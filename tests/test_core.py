@@ -5,7 +5,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from sgsim import (
     Apparatus,
@@ -14,11 +14,17 @@ from sgsim import (
     DomainError,
     InvalidParameterError,
     UnitSystem,
-    derive_timing,
     detection_time,
-    kick_velocity,
 )
-from sgsim.core import _MAX_POINTS, _linspace, apparatus_schedule, flight_schedule
+from path_integral import hand_kinematics
+from sgsim.core import (
+    _MAX_POINTS,
+    _apparatus_window,
+    _linspace,
+    apparatus_kicks,
+    apparatus_schedule,
+    flight_schedule,
+)
 from sgsim.scalar import _fit_line
 
 
@@ -45,7 +51,6 @@ def test_apparatus_ordering_enforced():
 
 def test_apparatus_derived_geometry(default_apparatus):
     assert default_apparatus.dy == 1.0
-    assert default_apparatus.y_bar == 5.5
 
 
 def test_packet_requires_normalized_spinor():
@@ -66,26 +71,32 @@ def test_packet_rejects_non_finite_spinor(bad):
         GaussianPacket(chi_plus=1.0, chi_minus=bad)
 
 
+def _kicks_at_detector(app, pkt, units=UnitSystem()):
+    return apparatus_kicks(app, pkt, detection_time(app, pkt, units), units)
+
+
 def test_derive_timing_hand_example():
     # v = 10, dy = 1, B' = 2 gives v_z = 0.2; L = 20 gives T = 2, z_max = 0.4
     app = Apparatus(y_a=0.0, y_b=5.0, y_c=6.0, y_d=25.5, grad_Bz=2.0)
     pkt = GaussianPacket(k_y=10.0)
-    timing = derive_timing(app, pkt)
-    assert timing.v == pytest.approx(10.0)
-    assert timing.t_b == pytest.approx(0.5)
-    assert timing.t_c == pytest.approx(0.6)
-    assert timing.t_bar == pytest.approx(0.55)
-    assert kick_velocity(app, pkt) == pytest.approx(0.2)
-    assert timing.z_max == pytest.approx(0.4)
+    t_b, t_c = _apparatus_window(app, pkt)
+    t_d = detection_time(app, pkt)
+    assert t_d == pytest.approx(25.5 / 10.0)
+    assert t_b == pytest.approx(0.5)
+    assert t_c == pytest.approx(0.6)
+    p, q, _ = apparatus_kicks(app, pkt, t_d)
+    assert p == pytest.approx(0.2)  # v_z = p/m
+    assert q == pytest.approx(0.2 * (t_d - 0.55))  # a kick at t_bar = 0.55
+    assert abs(q) == pytest.approx(0.4)
 
 
 def test_kick_velocity_trivia(default_packet):
     app0 = Apparatus(0.0, 5.0, 6.0, 26.0, 0.0)
-    assert kick_velocity(app0, default_packet) == 0.0
+    assert _kicks_at_detector(app0, default_packet)[0] == 0.0
     app1 = Apparatus(0.0, 5.0, 6.0, 26.0, 7.0)
     app2 = Apparatus(0.0, 5.0, 6.0, 26.0, 14.0)
-    assert kick_velocity(app2, default_packet) == pytest.approx(
-        2.0 * kick_velocity(app1, default_packet)
+    assert _kicks_at_detector(app2, default_packet)[0] == pytest.approx(
+        2.0 * _kicks_at_detector(app1, default_packet)[0]
     )
 
 
@@ -96,8 +107,8 @@ def test_detection_time(default_apparatus, default_packet):
 
 def test_source_past_field_entry_rejected(default_apparatus):
     pkt = GaussianPacket(source=(0.0, 5.5, 0.0))
-    with pytest.raises(InvalidParameterError):
-        derive_timing(default_apparatus, pkt)
+    with pytest.raises(InvalidParameterError, match="upstream"):
+        detection_time(default_apparatus, pkt)
 
 
 def test_flight_schedule_hand_example():
@@ -116,7 +127,7 @@ def test_field_crossed_in_no_time_rejected(default_apparatus):
     # which would drop the kick; the flight window refuses it
     pkt = GaussianPacket(t_prime=1e16)
     with pytest.raises(InvalidParameterError, match="no time"):
-        derive_timing(default_apparatus, pkt)
+        detection_time(default_apparatus, pkt)
     with pytest.raises(InvalidParameterError, match="no time"):
         apparatus_schedule(default_apparatus, pkt, 2e16)
 
@@ -128,8 +139,8 @@ def test_zmax_scales_with_geometry(lam):
     base = Apparatus(0.0, 5.0, 6.0, 26.0, 100.0)
     scaled = Apparatus(0.0, 5.0 * lam, 6.0 * lam, 26.0 * lam, 100.0 / lam)
     pkt = GaussianPacket()
-    z1 = derive_timing(base, pkt).z_max
-    z2 = derive_timing(scaled, pkt).z_max
+    z1 = abs(_kicks_at_detector(base, pkt)[1])
+    z2 = abs(_kicks_at_detector(scaled, pkt)[1])
     assert z2 == pytest.approx(lam * z1, rel=1e-12)
 
 
@@ -140,16 +151,25 @@ def test_zmax_scales_with_geometry(lam):
     grad=st.floats(min_value=-100.0, max_value=100.0),
     k_y=st.floats(min_value=0.5, max_value=100.0),
 )
+@example(y_b=50.0, dy=0.01, tail=100.0, grad=100.0, k_y=0.5)
+@example(y_b=50.0, dy=0.01, tail=1.0, grad=-100.0, k_y=100.0)
+@example(y_b=49.99999, dy=0.01, tail=1.0, grad=100.0, k_y=6.249987747839336)
 def test_zmax_two_computations_agree(y_b, dy, tail, grad, k_y):
-    # L * dtheta (angular kick) and v_z * T must be the same number
+    # L * dtheta (angular kick, by hand) and the kick integral q at the
+    # detector must be the same number.  The field's crossing time is
+    # t_c - t_b, a difference of two rounded flight times, so q carries
+    # up to ulp(t_b)/(t_c - t_b) ~ 2**-52 * y_b/dy of relative error,
+    # most at y_b = 50, dy = 0.01 with t_b just above a power of 2; the
+    # last example is the worst of a scan of that corner (9.2e-13).
     app = Apparatus(0.0, y_b, y_b + dy, y_b + dy + tail, grad)
     pkt = GaussianPacket(k_y=k_y)
     units = UnitSystem()
-    timing = derive_timing(app, pkt, units)
+    hand = hand_kinematics(app, pkt, units)
     p_y = units.hbar * pkt.k_y
-    dtheta = units.mass * timing.v_z / p_y
-    lhs = abs((app.y_d - app.y_bar) * dtheta)
-    assert lhs == pytest.approx(timing.z_max, rel=1e-12, abs=1e-300)
+    dtheta = units.mass * hand.v_z / p_y
+    lhs = abs((app.y_d - hand.y_bar) * dtheta)
+    z_max = abs(_kicks_at_detector(app, pkt, units)[1])
+    assert lhs == pytest.approx(z_max, rel=1e-12, abs=1e-300)
 
 
 @settings(deadline=None)

@@ -13,10 +13,11 @@ from sgsim import (
     InvalidParameterError,
     coherence_norm,
     density_sweep,
-    derive_timing,
     dispersion_factor,
     evolve_packet,
 )
+from path_integral import hand_kinematics
+from sgsim.core import _apparatus_window
 
 
 def _spinor(theta: float, phi: float) -> tuple[complex, complex]:
@@ -97,13 +98,13 @@ def test_density_sweep_shapes():
 
 def _time_at_separation(app, pkt, s: float) -> float:
     """Time at which v_z*(t - tbar) = s * sigma*|f(t - t')|."""
-    timing = derive_timing(app, pkt)
+    hand = hand_kinematics(app, pkt)
 
     def gap(t):
         f = dispersion_factor(t - pkt.t_prime, pkt.sigma)
-        return timing.v_z * (t - timing.t_bar) - s * pkt.sigma * abs(f)
+        return hand.center(t) - s * pkt.sigma * abs(f)
 
-    return brentq(gap, timing.t_c, 1e4)
+    return brentq(gap, _apparatus_window(app, pkt)[1], 1e4)
 
 
 def test_coherence_matches_gaussian_overlap():
@@ -126,8 +127,7 @@ def test_coherence_impulsive_limit_full():
     # vanishing separation: t = t_c with a very short interaction region
     app = Apparatus(0.0, 4.9995, 5.0005, 26.0, 10.0)
     pkt = GaussianPacket()
-    timing = derive_timing(app, pkt)
-    c = coherence_norm(evolve_packet(pkt, app, timing.t_c))
+    c = coherence_norm(evolve_packet(pkt, app, _apparatus_window(app, pkt)[1]))
     assert c == pytest.approx(abs(pkt.chi_plus * pkt.chi_minus), abs=1e-6)
 
 

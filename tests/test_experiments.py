@@ -18,17 +18,17 @@ from sgsim import (
     LayerStack,
     NoSplitError,
     backtrack_collapse,
-    derive_timing,
     detect_bimodality,
+    detection_time,
     dispersion_factor,
     evolve_packet,
-    kick_velocity,
     layer_kappa,
     propagate,
     recombine,
     sandwich,
 )
-from sgsim.core import field_schedule
+from path_integral import hand_kinematics
+from sgsim.core import _apparatus_window, apparatus_kicks, field_schedule
 from sgsim.experiments import _half_width, _local_maxima, _prominences
 
 
@@ -228,13 +228,13 @@ def test_peak_finder_matches_scipy_on_sandwich_densities(sigma, grad, t_final, n
 
 def test_collapse_point_is_region_center(default_apparatus, default_packet):
     rep = backtrack_collapse(default_packet, default_apparatus)
+    hand = hand_kinematics(default_apparatus, default_packet)
     tol = 1e-6 * default_apparatus.dy
-    assert abs(rep.y_collapse - default_apparatus.y_bar) < tol
+    assert abs(rep.y_collapse - hand.y_bar) < tol
     assert rep.residual >= 0.0
     # detector centroids are symmetric and match -+ z_max for this geometry
-    timing = derive_timing(default_apparatus, default_packet)
-    assert rep.z_d_plus == pytest.approx(-timing.z_max, rel=1e-9)
-    assert rep.z_d_minus == pytest.approx(timing.z_max, rel=1e-9)
+    assert rep.z_d_plus == pytest.approx(-hand.z_max, rel=1e-9)
+    assert rep.z_d_minus == pytest.approx(hand.z_max, rel=1e-9)
 
 
 def test_collapse_point_translation_invariant(default_apparatus, default_packet):
@@ -246,13 +246,12 @@ def test_collapse_point_translation_invariant(default_apparatus, default_packet)
 
 
 def test_collapse_point_asymmetric_station_choice(default_apparatus, default_packet):
-    timing = derive_timing(default_apparatus, default_packet)
-    from sgsim import detection_time
-
+    _, t_c = _apparatus_window(default_apparatus, default_packet)
     t_d = detection_time(default_apparatus, default_packet)
-    times = timing.t_c + np.array([0.2, 0.35, 0.8]) * (t_d - timing.t_c)
+    times = t_c + np.array([0.2, 0.35, 0.8]) * (t_d - t_c)
     rep = backtrack_collapse(default_packet, default_apparatus, times=times)
-    assert abs(rep.y_collapse - default_apparatus.y_bar) < 1e-6 * default_apparatus.dy
+    y_bar = hand_kinematics(default_apparatus, default_packet).y_bar
+    assert abs(rep.y_collapse - y_bar) < 1e-6 * default_apparatus.dy
 
 
 def test_backtrack_errors(default_apparatus, default_packet):
@@ -268,9 +267,8 @@ def test_backtrack_errors(default_apparatus, default_packet):
 
 
 def _measured_stations(apparatus, packet):
-    timing = derive_timing(apparatus, packet)
-    times = timing.t_c + np.linspace(0.1, 1.0, 5)
-    z_minus = timing.v_z * (times - timing.t_bar)
+    times = _apparatus_window(apparatus, packet)[1] + np.linspace(0.1, 1.0, 5)
+    z_minus = hand_kinematics(apparatus, packet).center(times)
     return times, -z_minus, z_minus
 
 
@@ -299,7 +297,7 @@ def test_backtrack_refuses_centroids_unlike_the_times(default_apparatus, default
 
 def test_backtrack_refuses_coincident_times(default_apparatus, default_packet):
     # three stations at one time gave y_collapse = -7 from a rank-deficient fit
-    t = derive_timing(default_apparatus, default_packet).t_c + 1.0
+    t = _apparatus_window(default_apparatus, default_packet)[1] + 1.0
     with pytest.raises(InvalidParameterError, match="distinct"):
         backtrack_collapse(default_packet, default_apparatus, times=[t, t, t])
 
@@ -315,21 +313,21 @@ def test_backtrack_overflowing_fit_is_a_domain_error(default_packet, grad, y_d):
 def test_backtrack_overflowing_result_is_a_domain_error(default_packet):
     # steep lines extrapolated to a detector at y = 1e300 leave the float range
     app = Apparatus(0.0, 5.0, 6.0, 1e300, 100.0)
-    times = derive_timing(app, default_packet).t_c + np.linspace(0.1, 1.0, 5)
+    times = _apparatus_window(app, default_packet)[1] + np.linspace(0.1, 1.0, 5)
     z = 1e10 * (10.0 * times - 5.5)
     with pytest.raises(DomainError, match="overflows"):
         backtrack_collapse(default_packet, app, times=times, centroids=(z, -z))
 
 
 def test_backtrack_with_measured_centroids(default_apparatus, default_packet):
-    timing = derive_timing(default_apparatus, default_packet)
-    times = timing.t_c + np.linspace(0.1, 1.0, 5)
-    z_p = -timing.v_z * (times - timing.t_bar) + 1e-4 * np.sin(np.arange(5))
-    z_m = +timing.v_z * (times - timing.t_bar) - 1e-4 * np.sin(np.arange(5))
+    hand = hand_kinematics(default_apparatus, default_packet)
+    times = _apparatus_window(default_apparatus, default_packet)[1] + np.linspace(0.1, 1.0, 5)
+    z_p = -hand.center(times) + 1e-4 * np.sin(np.arange(5))
+    z_m = +hand.center(times) - 1e-4 * np.sin(np.arange(5))
     rep = backtrack_collapse(
         default_packet, default_apparatus, times=times, centroids=(z_p, z_m)
     )
-    assert abs(rep.y_collapse - default_apparatus.y_bar) < 1e-3
+    assert abs(rep.y_collapse - hand.y_bar) < 1e-3
     assert rep.residual > 0.0
 
 
@@ -355,6 +353,17 @@ def test_perfect_recombination(default_apparatus, default_packet):
     assert res.overlap == pytest.approx(1.0, abs=1e-6)
 
 
+@pytest.mark.parametrize("t_prime,shift", [(1e8, 0.0), (0.0, 1e7)])
+def test_late_or_far_reversal_recombines(default_apparatus, t_prime, shift):
+    # near t' = 1e8, or with the fields 1e7 downstream, the stages' kicks,
+    # differences of flight times, differ past the reversal's tolerance; the
+    # reversal is read from the fields, so the stages still recombine
+    a = default_apparatus
+    stage1 = Apparatus(a.y_a, a.y_b + shift, a.y_c + shift, a.y_d + shift, a.grad_Bz)
+    res = recombine(GaussianPacket(t_prime=t_prime), stage1, _reversal(stage1))
+    assert res.fidelity == pytest.approx(1.0, abs=1e-6)
+
+
 def test_pi_phase_error_destroys_coherence(default_apparatus, default_packet):
     stage2 = _reversal(default_apparatus)
     res = recombine(default_packet, default_apparatus, stage2, phase_error=math.pi)
@@ -373,10 +382,10 @@ def test_separated_overlap_matches_closed_form(default_packet, grad):
     # two oppositely kicked packets at the kick:
     # exp(-(m * v_z * sigma * |f(tbar - t')| / hbar)^2).
     app = Apparatus(0.0, 5.0, 6.0, 26.0, grad)
-    timing = derive_timing(app, default_packet)
+    hand = hand_kinematics(app, default_packet)
     sigma = default_packet.sigma
-    f_bar = dispersion_factor(timing.t_bar - default_packet.t_prime, sigma)
-    expected = math.exp(-(timing.v_z * sigma * abs(f_bar)) ** 2)  # hbar = m = 1
+    f_bar = dispersion_factor(hand.t_bar - default_packet.t_prime, sigma)
+    expected = math.exp(-(hand.v_z * sigma * abs(f_bar)) ** 2)  # hbar = m = 1
     assert recombine(default_packet, app, None).overlap == pytest.approx(
         expected, rel=1e-12, abs=0.0
     )
@@ -569,4 +578,6 @@ def test_kick_velocity_consistency(default_apparatus, default_packet):
     v = default_packet.k_y  # hbar = m = 1
     dt = (layer.y_end - layer.y_start) / v
     v_z_layer = layer.grad_Bz * dt  # mu_b = m = 1
-    assert kick_velocity(default_apparatus, default_packet) == pytest.approx(v_z_layer)
+    t_d = detection_time(default_apparatus, default_packet)
+    p, _, _ = apparatus_kicks(default_apparatus, default_packet, t_d)
+    assert p == pytest.approx(v_z_layer)

@@ -121,11 +121,11 @@ def test_public_api_is_pinned():
         "DEFAULT_UNITS", "DomainError", "ExtentError", "GaussianPacket", "Grid1D",
         "GridState", "Histogram", "InvalidParameterError", "Layer", "LayerStack",
         "MeanFieldState", "NoSplitError", "OracleComparison", "RecombinationResult",
-        "SandwichResult", "SgSimError", "SpinorField", "Timing", "UnitSystem",
+        "SandwichResult", "SgSimError", "SpinorField", "UnitSystem",
         "backtrack_collapse", "classical_ensemble", "classical_trajectory",
-        "coherence_norm", "compare_analytic_oracle", "density_sweep", "derive_timing",
+        "coherence_norm", "compare_analytic_oracle", "density_sweep",
         "detect_bimodality", "detection_time", "dispersion_factor", "evolve_packet",
-        "kick_velocity", "layer_kappa", "meanfield_ensemble", "meanfield_ensemble_density",
+        "layer_kappa", "meanfield_ensemble", "meanfield_ensemble_density",
         "meanfield_evolve", "propagate", "propagate_packet", "recombine", "sandwich",
         "spin_moment_average", "suggest_grid",
     ]

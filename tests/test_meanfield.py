@@ -12,7 +12,6 @@ from sgsim import (
     Apparatus,
     Branch,
     GaussianPacket,
-    derive_timing,
     dispersion_factor,
     evolve_packet,
     meanfield_ensemble,
@@ -20,6 +19,7 @@ from sgsim import (
     meanfield_evolve,
     spin_moment_average,
 )
+from path_integral import hand_kinematics
 from sgsim.core import DEFAULT_UNITS, _linspace
 from sgsim.meanfield import meanfield_ensemble_mass
 from test_classical import _rk4_oracle
@@ -51,8 +51,7 @@ def test_spin_moment_magnitude_for_pure_states(theta, phi):
 def test_meanfield_center(default_apparatus, default_packet, beta, cos_beta):
     t = 3.0
     state = meanfield_evolve(beta, default_packet, default_apparatus, t)
-    timing = derive_timing(default_apparatus, default_packet)
-    expected = -cos_beta * timing.v_z * (t - timing.t_bar)
+    expected = -cos_beta * hand_kinematics(default_apparatus, default_packet).center(t)
     assert state.center_z == pytest.approx(expected, abs=1e-12)
 
 
@@ -109,8 +108,7 @@ def test_ensemble_matches_convolution_closed_form(default_apparatus, default_pac
     n, bins, seed = 200_000, 60, 4
     t = 3.0
     hist = meanfield_ensemble(n, seed, default_packet, default_apparatus, t, bins)
-    timing = derive_timing(default_apparatus, default_packet)
-    span = timing.v_z * (t - timing.t_bar)
+    span = hand_kinematics(default_apparatus, default_packet).center(t)
     f = dispersion_factor(t - default_packet.t_prime, default_packet.sigma)
     sd = default_packet.sigma * abs(f) / math.sqrt(2.0)
 
@@ -356,8 +354,7 @@ def test_ensemble_mass_equals_the_array_formula(span, sd, reach, bins):
 def test_ensemble_chi_square_against_quadrature(default_apparatus, default_packet, n):
     t, bins = 3.0, 40
     hist = meanfield_ensemble(n, 2024, default_packet, default_apparatus, t, bins)
-    timing = derive_timing(default_apparatus, default_packet)
-    span = timing.v_z * (t - timing.t_bar)
+    span = hand_kinematics(default_apparatus, default_packet).center(t)
     sd = default_packet.sigma * abs(dispersion_factor(t - default_packet.t_prime,
                                                       default_packet.sigma)) / math.sqrt(2.0)
     expected = n * np.array([

@@ -20,7 +20,6 @@ from sgsim import (
     LayerStack,
     classical_trajectory,
     compare_analytic_oracle,
-    derive_timing,
     detection_time,
     dispersion_factor,
     propagate,
@@ -28,7 +27,8 @@ from sgsim import (
     sandwich,
     suggest_grid,
 )
-from sgsim.core import field_schedule
+from path_integral import hand_kinematics
+from sgsim.core import _apparatus_window, field_schedule
 
 
 def _mean_z(state):
@@ -68,10 +68,10 @@ def test_extent_error_for_small_grid(default_packet):
 
 
 def test_norm_conserved_per_step(default_apparatus, default_packet):
-    timing = derive_timing(default_apparatus, default_packet)
+    t_b, t_c = _apparatus_window(default_apparatus, default_packet)
     grid = Grid1D(-40.0, 40.0, 1024)
     state = GridState.from_packet(default_packet, grid)
-    field = [(timing.t_b, timing.t_c, default_apparatus.grad_Bz)]
+    field = [(t_b, t_c, default_apparatus.grad_Bz)]
     norms = [state.norm()]
     for _ in range(40):
         state = propagate(state, field_schedule(state.t, state.t + 0.02, field))
@@ -115,14 +115,14 @@ def test_region_length_sweep(default_packet):
 def test_field_segment_slicing_invariance(default_apparatus, default_packet):
     # one exact Strang step per segment: cutting the field segment into
     # pieces changes nothing but rounding, in both components and in phase
-    timing = derive_timing(default_apparatus, default_packet)
+    t_b, t_c = _apparatus_window(default_apparatus, default_packet)
     grid = Grid1D(-40.0, 40.0, 2048)
     start = GridState.from_packet(default_packet, grid)
     grad = default_apparatus.grad_Bz
-    free = (start.t, timing.t_b, 0.0)
-    whole = propagate(start, [free, (timing.t_b, timing.t_c, grad)])
+    free = (start.t, t_b, 0.0)
+    whole = propagate(start, [free, (t_b, t_c, grad)])
     for pieces in (2, 3, 16):
-        cuts = np.linspace(timing.t_b, timing.t_c, pieces + 1)
+        cuts = np.linspace(t_b, t_c, pieces + 1)
         sliced = propagate(start, [free, *((a, b, grad) for a, b in zip(cuts[:-1], cuts[1:]))])
         err = math.sqrt(grid.dz * float(
             np.sum(np.abs(whole.psi_plus - sliced.psi_plus) ** 2)
@@ -132,7 +132,7 @@ def test_field_segment_slicing_invariance(default_apparatus, default_packet):
 
 
 def test_component_independence(default_apparatus, default_packet):
-    timing = derive_timing(default_apparatus, default_packet)
+    t_b, t_c = _apparatus_window(default_apparatus, default_packet)
     grid = Grid1D(-40.0, 40.0, 1024)
     both = GridState.from_packet(default_packet, grid)
     up_only = GridState(
@@ -140,7 +140,7 @@ def test_component_independence(default_apparatus, default_packet):
         t=both.t,
     )
     schedule = field_schedule(
-        both.t, both.t + 0.8, [(timing.t_b, timing.t_c, default_apparatus.grad_Bz)]
+        both.t, both.t + 0.8, [(t_b, t_c, default_apparatus.grad_Bz)]
     )
     a = propagate(both, schedule)
     b = propagate(up_only, schedule)
@@ -164,9 +164,7 @@ def test_suggest_grid_contains_packet(default_apparatus, default_packet):
     grid = suggest_grid(default_packet, default_apparatus, t)
     state = propagate_packet(default_packet, default_apparatus, grid, t)
     grid.check_extent(state.density())  # no ExtentError
-    assert grid.z_max > abs(derive_timing(default_apparatus, default_packet).v_z) * (
-        t - derive_timing(default_apparatus, default_packet).t_bar
-    )
+    assert grid.z_max > abs(hand_kinematics(default_apparatus, default_packet).center(t))
 
 
 def test_propagate_rejects_bad_time(default_apparatus, default_packet):
@@ -181,8 +179,8 @@ def test_compare_inside_the_region(request, default_packet, apparatus, frac):
     # strictly between t_b and t_c: the closed form holds there too, and the
     # grid steps the same field schedule, cut at t_final
     app = request.getfixturevalue(apparatus)
-    timing = derive_timing(app, default_packet)
-    t = timing.t_b + frac * (timing.t_c - timing.t_b)
+    t_b, t_c = _apparatus_window(app, default_packet)
+    t = t_b + frac * (t_c - t_b)
     rep = compare_analytic_oracle(default_packet, app, t)
     assert max(rep.err_plus, rep.err_minus) < 1e-12
     assert abs(rep.rel_phase_diff) < 1e-12
@@ -209,9 +207,9 @@ def test_rel_phase_diff_of_a_pure_spin_is_zero(impulsive_apparatus, chi):
 
 
 def test_split_step_parameter_validation(default_apparatus, default_packet):
-    timing = derive_timing(default_apparatus, default_packet)
+    t_b, t_c = _apparatus_window(default_apparatus, default_packet)
     t = default_packet.t_prime
-    field = [(timing.t_b, timing.t_c, default_apparatus.grad_Bz)]
+    field = [(t_b, t_c, default_apparatus.grad_Bz)]
     with pytest.raises(DomainError):
         field_schedule(t, t - 0.1, field)
     with pytest.raises(DomainError):
